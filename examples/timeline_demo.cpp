@@ -39,9 +39,15 @@ int main(int argc, char** argv) {
     config.seed = 7;
     san::Simulator sim(config);
     sim.set_model(*system->model);
-    sim.add_observer(timeline);
-    sim.add_observer(latency);
-    sim.run();
+    // A simulator carries one trace sink, so each reducer watches its own
+    // run; a reset system replays the same seed's trajectory exactly.
+    san::TraceSink* const sinks[] = {&timeline, &latency};
+    for (san::TraceSink* sink : sinks) {
+      system->reset();
+      sim.set_trace(sink);
+      sim.reset(config.seed);
+      sim.advance_until(config.end_time);
+    }
 
     std::cout << "=== " << system->scheduler->name()
               << " (2 PCPUs; VM1 = 2 VCPUs, VM2 = 3 VCPUs + spinlock; "

@@ -1,7 +1,6 @@
 #include "cli/cli.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iterator>
@@ -193,11 +192,13 @@ int parse_args(int argc, const char* const* argv, Options& options,
       } else if (arg == "--pcpus") {
         const char* v = need_value("--pcpus");
         if (v == nullptr) return 1;
-        spec.system.num_pcpus = std::atoi(v);
+        spec.system.num_pcpus =
+            static_cast<int>(parse_count(arg, v, kMaxIntSetting));
       } else if (arg == "--vm") {
         const char* v = need_value("--vm");
         if (v == nullptr) return 1;
-        options.vm_sizes.push_back(std::atoi(v));
+        options.vm_sizes.push_back(
+            static_cast<int>(parse_count(arg, v, kMaxIntSetting)));
       } else if (arg == "--algorithm") {
         const char* v = need_value("--algorithm");
         if (v == nullptr) return 1;
@@ -205,11 +206,12 @@ int parse_args(int argc, const char* const* argv, Options& options,
       } else if (arg == "--sync") {
         const char* v = need_value("--sync");
         if (v == nullptr) return 1;
-        options.sync_k = std::atoi(v);
+        options.sync_k =
+            static_cast<int>(parse_count(arg, v, kMaxIntSetting));
       } else if (arg == "--timeslice") {
         const char* v = need_value("--timeslice");
         if (v == nullptr) return 1;
-        spec.system.default_timeslice = std::atof(v);
+        spec.system.default_timeslice = parse_number(arg, v);
       } else if (arg == "--metric") {
         const char* v = need_value("--metric");
         if (v == nullptr) return 1;
@@ -217,27 +219,27 @@ int parse_args(int argc, const char* const* argv, Options& options,
       } else if (arg == "--end-time") {
         const char* v = need_value("--end-time");
         if (v == nullptr) return 1;
-        spec.end_time = std::atof(v);
+        spec.end_time = parse_number(arg, v);
       } else if (arg == "--warmup") {
         const char* v = need_value("--warmup");
         if (v == nullptr) return 1;
-        spec.warmup = std::atof(v);
+        spec.warmup = parse_number(arg, v);
       } else if (arg == "--seed") {
         const char* v = need_value("--seed");
         if (v == nullptr) return 1;
-        spec.base_seed = static_cast<std::uint64_t>(std::atoll(v));
+        spec.base_seed = parse_count(arg, v);
       } else if (arg == "--half-width") {
         const char* v = need_value("--half-width");
         if (v == nullptr) return 1;
-        spec.policy.target_half_width = std::atof(v);
+        spec.policy.target_half_width = parse_number(arg, v);
       } else if (arg == "--min-replications") {
         const char* v = need_value("--min-replications");
         if (v == nullptr) return 1;
-        spec.policy.min_replications = static_cast<std::size_t>(std::atoll(v));
+        spec.policy.min_replications = parse_count(arg, v);
       } else if (arg == "--max-replications") {
         const char* v = need_value("--max-replications");
         if (v == nullptr) return 1;
-        spec.policy.max_replications = static_cast<std::size_t>(std::atoll(v));
+        spec.policy.max_replications = parse_count(arg, v);
       } else if (arg == "--controller") {
         const char* v = need_value("--controller");
         if (v == nullptr) return 1;
@@ -249,12 +251,7 @@ int parse_args(int argc, const char* const* argv, Options& options,
       } else if (arg == "--jobs") {
         const char* v = need_value("--jobs");
         if (v == nullptr) return 1;
-        const long long n = std::atoll(v);
-        if (n < 0) {
-          err << "vcpusim: --jobs must be >= 0\n";
-          return 1;
-        }
-        spec.jobs = static_cast<std::size_t>(n);
+        spec.jobs = parse_count(arg, v);
       } else if (arg == "--dvfs") {
         spec.system.dvfs.enabled = true;
       } else if (arg == "--rebuild-systems") {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -32,12 +34,19 @@ std::string trim(const std::string& s) {
 
 double parse_number(int line, const std::string& key, const std::string& v) {
   try {
-    std::size_t used = 0;
-    const double x = std::stod(v, &used);
-    if (used != v.size()) throw std::invalid_argument("trailing");
-    return x;
-  } catch (const std::exception&) {
-    fail(line, "invalid number for '" + key + "': " + v);
+    return cli::parse_number(key, v);
+  } catch (const std::invalid_argument& e) {
+    fail(line, e.what());
+  }
+}
+
+std::uint64_t parse_count(int line, const std::string& key,
+                          const std::string& v,
+                          std::uint64_t max = kMaxExactCount) {
+  try {
+    return cli::parse_count(key, v, max);
+  } catch (const std::invalid_argument& e) {
+    fail(line, e.what());
   }
 }
 
@@ -53,6 +62,27 @@ std::vector<std::string> split(const std::string& s, char sep) {
 }
 
 }  // namespace
+
+double parse_number(const std::string& what, const std::string& text) {
+  try {
+    std::size_t used = 0;
+    const double x = std::stod(text, &used);
+    if (used == text.size()) return x;
+  } catch (const std::exception&) {
+  }
+  throw std::invalid_argument("invalid number for '" + what + "': " + text);
+}
+
+std::uint64_t parse_count(const std::string& what, const std::string& text,
+                          std::uint64_t max) {
+  const double x = parse_number(what, text);
+  if (!(x >= 0 && x <= static_cast<double>(max) && x == std::floor(x))) {
+    throw std::invalid_argument("'" + what +
+                                "' must be a whole number in [0, " +
+                                std::to_string(max) + "], got " + text);
+  }
+  return static_cast<std::uint64_t>(x);
+}
 
 exp::MetricRequest parse_metric(const std::string& name) {
   std::string base = lower(trim(name));
@@ -253,7 +283,7 @@ Scenario parse_scenario(std::istream& in) {
       // Global section.
       if (key == "pcpus") {
         scenario.spec.system.num_pcpus =
-            static_cast<int>(parse_number(line, key, value));
+            static_cast<int>(parse_count(line, key, value, kMaxIntSetting));
       } else if (key == "timeslice") {
         scenario.spec.system.default_timeslice = parse_number(line, key, value);
       } else if (key == "algorithm") {
@@ -263,26 +293,21 @@ Scenario parse_scenario(std::istream& in) {
       } else if (key == "warmup") {
         scenario.spec.warmup = parse_number(line, key, value);
       } else if (key == "seed") {
-        scenario.spec.base_seed =
-            static_cast<std::uint64_t>(parse_number(line, key, value));
+        scenario.spec.base_seed = parse_count(line, key, value);
       } else if (key == "confidence") {
         scenario.spec.policy.confidence = parse_number(line, key, value);
       } else if (key == "half_width") {
         scenario.spec.policy.target_half_width = parse_number(line, key, value);
       } else if (key == "min_replications") {
-        scenario.spec.policy.min_replications =
-            static_cast<std::size_t>(parse_number(line, key, value));
+        scenario.spec.policy.min_replications = parse_count(line, key, value);
       } else if (key == "max_replications") {
-        scenario.spec.policy.max_replications =
-            static_cast<std::size_t>(parse_number(line, key, value));
+        scenario.spec.policy.max_replications = parse_count(line, key, value);
       } else if (key == "controller") {
         if (!stats::parse_controller(lower(value), scenario.spec.controller)) {
           fail(line, "controller must be 'fixed', 'adaptive' or 'antithetic'");
         }
       } else if (key == "jobs") {
-        const double n = parse_number(line, key, value);
-        if (n < 0) fail(line, "jobs must be >= 0");
-        scenario.spec.jobs = static_cast<std::size_t>(n);
+        scenario.spec.jobs = parse_count(line, key, value);
       } else if (key == "reuse_systems") {
         const std::string flag = lower(value);
         if (flag == "true" || flag == "on" || flag == "1") {
@@ -321,7 +346,8 @@ Scenario parse_scenario(std::istream& in) {
 
     // VM section.
     if (key == "vcpus") {
-      current_vm->num_vcpus = static_cast<int>(parse_number(line, key, value));
+      current_vm->num_vcpus =
+          static_cast<int>(parse_count(line, key, value, kMaxIntSetting));
     } else if (key == "load") {
       try {
         current_vm->load_distribution = stats::parse_distribution(value);
@@ -335,7 +361,8 @@ Scenario parse_scenario(std::istream& in) {
         fail(line, e.what());
       }
     } else if (key == "sync_ratio") {
-      current_vm->sync_ratio_k = static_cast<int>(parse_number(line, key, value));
+      current_vm->sync_ratio_k =
+          static_cast<int>(parse_count(line, key, value, kMaxIntSetting));
     } else if (key == "sync_mode") {
       const std::string mode = lower(value);
       if (mode == "every_kth") {

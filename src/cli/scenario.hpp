@@ -41,7 +41,9 @@
 // case-insensitive; unknown keys are errors (typo safety).
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -68,6 +70,22 @@ Scenario parse_scenario(std::istream& in);
 /// Parse a scenario from a file path. Throws std::invalid_argument if
 /// the file cannot be opened.
 Scenario load_scenario(const std::string& path);
+
+/// Parse `text` as a number, consuming all of it. Throws
+/// std::invalid_argument naming `what` (a scenario key or CLI flag) on
+/// malformed text or trailing junk ("4x", "abc", "").
+double parse_number(const std::string& what, const std::string& text);
+
+/// Caps for parse_count: 2^53 keeps every accepted value exact in the
+/// double it is parsed through; settings stored as int pass the other.
+inline constexpr std::uint64_t kMaxExactCount = std::uint64_t{1} << 53U;
+inline constexpr auto kMaxIntSetting =
+    static_cast<std::uint64_t>(std::numeric_limits<int>::max());
+
+/// parse_number restricted to whole numbers in [0, max] — counts, sizes
+/// and seeds.
+std::uint64_t parse_count(const std::string& what, const std::string& text,
+                          std::uint64_t max = kMaxExactCount);
 
 /// Map a metric name ("vcpu_utilization", "pcpu_utilization",
 /// "availability", "busy_fraction", "blocked_fraction", "throughput",

@@ -55,8 +55,9 @@ bool parse_engine(std::string_view text, Engine& out) noexcept {
 
 Simulator::Simulator(SimulatorConfig config)
     : config_(config), rng_(config.seed) {
-  if (!(config_.end_time > 0)) {
-    throw std::invalid_argument("Simulator: end_time must be > 0");
+  if (!(config_.end_time > 0 &&
+        config_.end_time <= SimulatorConfig::kMaxEndTime)) {
+    throw std::invalid_argument("Simulator: end_time must be in (0, 2^53]");
   }
 }
 
@@ -353,10 +354,6 @@ void Simulator::add_reward(RewardVariable& reward) {
   rewards_.push_back(&reward);
 }
 
-void Simulator::add_observer(TraceObserver& observer) {
-  observers_.push_back(&observer);
-}
-
 void Simulator::advance_time(Time to) {
   if (to <= now_) return;
   for (RewardVariable* r : rewards_) r->on_advance(now_, to);
@@ -566,7 +563,6 @@ void Simulator::complete(Activity& activity, bool timed,
           : activity.fire(ctx);
   if (sanitizer_ != nullptr) sanitizer_->end_firing();
   for (RewardVariable* r : rewards_) r->on_completion(activity, now_);
-  for (TraceObserver* o : observers_) o->on_fire(now_, activity, case_index);
   if (trace_ == nullptr) return;
   if (trace_->wants(TraceCategory::kFire)) {
     trace_->on_event(TraceEvent{TraceCategory::kFire, now_, seq,

@@ -62,6 +62,9 @@ const char* engine_name(Engine engine) noexcept;
 bool parse_engine(std::string_view text, Engine& out) noexcept;
 
 struct SimulatorConfig {
+  /// Past 2^53 a double clock no longer advances by a unit tick.
+  static constexpr Time kMaxEndTime = 0x1p53;
+  /// Simulation horizon: finite, > 0 and at most kMaxEndTime.
   Time end_time = 1000.0;
   std::uint64_t seed = 1;
   /// Safety valve against run-away models.
@@ -126,8 +129,6 @@ class Simulator {
   /// Drop every registered reward variable (metric bindings are rebuilt
   /// from scratch when a pooled system is rebound to a new run).
   void clear_rewards() noexcept { rewards_.clear(); }
-
-  void add_observer(TraceObserver& observer);
 
   /// Attach (or with nullptr detach) the structured trace sink. With no
   /// sink attached every emission site costs one null-pointer test —
@@ -477,7 +478,6 @@ class Simulator {
   std::vector<Activity*> activities_;
   std::vector<Activity*> instantaneous_;
   std::vector<RewardVariable*> rewards_;
-  std::vector<TraceObserver*> observers_;
   TraceSink* trace_ = nullptr;
   stats::PhaseProfile profile_;
   stats::PhaseProfile compile_profile_;

@@ -1,13 +1,15 @@
-// Trace observation hooks for the SAN simulator.
+// Structured tracing for the SAN simulator: the simulator's one
+// observation interface.
 //
-// Two mechanisms share this header:
-//  * TraceObserver — the legacy completion callback (EventLog, timeline
-//    and latency recorders subscribe to activity completions only).
-//  * TraceSink / TraceEvent — the structured tracing API: the simulator
-//    (and the scheduler bridge, through GateContext) emits typed events
-//    for activity fires, enabling changes, marking updates and scheduler
-//    decisions to one pluggable sink. Concrete sinks (ring buffer, JSONL
-//    stream, Chrome trace_event) live in src/trace/sinks.hpp.
+// The simulator (and the scheduler bridge, through GateContext) emits
+// typed TraceEvents for activity fires, enabling changes, marking updates
+// and scheduler decisions to the one TraceSink attached with
+// Simulator::set_trace. A sink subscribes to categories through a
+// bitmask, so emitters construct only the events it wants. Concrete
+// sinks (ring buffer, JSONL stream, Chrome trace_event) live in
+// src/trace/sinks.hpp; state-sampling reducers (timeline, barrier
+// latency, invariant checker) subscribe to kFire only and sample the
+// marking when the scheduler Clock fires.
 //
 // Determinism contract: every structured event is a pure function of the
 // simulated trajectory — no wall-clock, no addresses, no thread ids — so
@@ -24,26 +26,12 @@
 // tests/perf/scheduler_hotpath_test.cpp.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
-#include "san/activity.hpp"
+#include "san/gate.hpp"
 
 namespace vcpusim::san {
-
-class TraceObserver {
- public:
-  virtual ~TraceObserver() = default;
-
-  /// An activity completed at `now`, selecting case `case_index`.
-  virtual void on_fire(Time now, const Activity& activity,
-                       std::size_t case_index) = 0;
-};
-
-// ---------------------------------------------------------------------
-// Structured tracing
-// ---------------------------------------------------------------------
 
 /// Event categories, usable as a bitmask filter (TraceSink::categories).
 enum class TraceCategory : std::uint8_t {

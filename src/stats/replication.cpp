@@ -215,6 +215,11 @@ ReplicationResult run_replications(const std::vector<std::string>& metric_names,
   if (policy.min_replications < 2) {
     throw std::invalid_argument("run_replications: min_replications < 2");
   }
+  if (!(std::isfinite(policy.target_half_width) &&
+        policy.target_half_width > 0)) {
+    throw std::invalid_argument(
+        "run_replications: target_half_width must be finite and > 0");
+  }
   ReplicationResult result;
   result.metrics.resize(metric_names.size());
   for (std::size_t i = 0; i < metric_names.size(); ++i) {

@@ -256,8 +256,9 @@ std::unique_ptr<ReplicationController> make_controller(
 /// controller-sized batches to a caller-owned executor. The result is
 /// bit-identical for every value of executor.jobs(). `fn` is never called
 /// with an index >= policy.max_replications. Throws std::invalid_argument
-/// if metric_names is empty or min_replications < 2, std::runtime_error
-/// if fn returns a vector of the wrong size.
+/// if metric_names is empty, min_replications < 2 or target_half_width is
+/// not finite and > 0, std::runtime_error if fn returns a vector of the
+/// wrong size.
 ReplicationResult run_replications(const std::vector<std::string>& metric_names,
                                    const StreamedReplicationFn& fn,
                                    ReplicationController& controller,

@@ -6,18 +6,19 @@
 namespace vcpusim::trace {
 
 BarrierLatencyAnalyzer::BarrierLatencyAnalyzer(const vm::VirtualSystem& system)
-    : system_(&system), clock_(system.scheduler_places.clock) {
-  if (clock_ == nullptr) {
+    : san::TraceSink(san::trace_bit(san::TraceCategory::kFire)),
+      system_(&system) {
+  if (system.scheduler_places.clock == nullptr) {
     throw std::invalid_argument(
         "BarrierLatencyAnalyzer: system has no scheduler clock");
   }
+  clock_name_ = system.scheduler_places.clock->name();
   vms_.resize(system.vms.size());
 }
 
-void BarrierLatencyAnalyzer::on_fire(san::Time now,
-                                     const san::Activity& activity,
-                                     std::size_t /*case_index*/) {
-  if (&activity != clock_) return;
+void BarrierLatencyAnalyzer::on_event(const san::TraceEvent& event) {
+  if (event.name != clock_name_) return;
+  const san::Time now = event.time;
   for (std::size_t v = 0; v < vms_.size(); ++v) {
     const bool blocked_now = system_->vms[v].places.blocked->get() != 0;
     auto& state = vms_[v];

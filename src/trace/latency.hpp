@@ -1,7 +1,8 @@
-// Synchronization-latency analysis: measure each barrier episode — the
-// interval a VM spends Blocked waiting for its outstanding jobs — and
-// summarize the distribution. Quantifies the effect the paper's VCPU
-// Utilization metric only shows indirectly.
+// Synchronization-latency analysis: a kFire-only trace sink that
+// measures each barrier episode — the interval a VM spends Blocked
+// waiting for its outstanding jobs — and summarizes the distribution.
+// Quantifies the effect the paper's VCPU Utilization metric only shows
+// indirectly.
 #pragma once
 
 #include <string>
@@ -14,14 +15,14 @@
 
 namespace vcpusim::trace {
 
-class BarrierLatencyAnalyzer final : public san::TraceObserver {
+class BarrierLatencyAnalyzer final : public san::TraceSink {
  public:
   /// Observes `system`'s per-VM Blocked places at every scheduler Clock
-  /// tick. Must not outlive the system.
+  /// tick, recognised by its qualified name. Attach with
+  /// Simulator::set_trace. Must not outlive the system.
   explicit BarrierLatencyAnalyzer(const vm::VirtualSystem& system);
 
-  void on_fire(san::Time now, const san::Activity& activity,
-               std::size_t case_index) override;
+  void on_event(const san::TraceEvent& event) override;
 
   /// Completed barrier episodes of `vm_id` (ticks spent blocked each).
   const std::vector<double>& episodes(int vm_id) const;
@@ -40,7 +41,7 @@ class BarrierLatencyAnalyzer final : public san::TraceObserver {
 
  private:
   const vm::VirtualSystem* system_;
-  const san::Activity* clock_;
+  std::string clock_name_;
   struct PerVm {
     bool blocked = false;
     san::Time blocked_since = 0;

@@ -40,6 +40,8 @@ struct OwnedTraceEvent {
   static OwnedTraceEvent from(const san::TraceEvent& event);
   /// A view aliasing this event's storage (valid while it lives).
   san::TraceEvent view() const;
+
+  bool operator==(const OwnedTraceEvent&) const = default;
 };
 
 class RingBufferSink final : public san::TraceSink {

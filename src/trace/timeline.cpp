@@ -8,23 +8,23 @@ namespace vcpusim::trace {
 
 TimelineRecorder::TimelineRecorder(const vm::VirtualSystem& system,
                                    std::size_t max_ticks)
-    : system_(&system),
-      clock_(system.scheduler_places.clock),
+    : san::TraceSink(san::trace_bit(san::TraceCategory::kFire)),
+      system_(&system),
       max_ticks_(max_ticks),
       num_vcpus_(system.num_vcpus()) {
-  if (clock_ == nullptr) {
+  if (system.scheduler_places.clock == nullptr) {
     throw std::invalid_argument(
         "TimelineRecorder: system has no scheduler clock");
   }
+  clock_name_ = system.scheduler_places.clock->name();
   for (const auto& binding : system.vcpus) {
     labels_.push_back("VM" + std::to_string(binding.vm_id + 1) + "." +
                       std::to_string(binding.vcpu_index_in_vm + 1));
   }
 }
 
-void TimelineRecorder::on_fire(san::Time /*now*/, const san::Activity& activity,
-                               std::size_t /*case_index*/) {
-  if (&activity != clock_) return;
+void TimelineRecorder::on_event(const san::TraceEvent& event) {
+  if (event.name != clock_name_) return;
   std::vector<char> row(static_cast<std::size_t>(num_vcpus_));
   std::vector<int> pcpu_row(static_cast<std::size_t>(num_vcpus_));
   for (int v = 0; v < num_vcpus_; ++v) {

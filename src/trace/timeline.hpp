@@ -1,7 +1,8 @@
 // Per-tick VCPU state timelines and their ASCII (Gantt-style) rendering:
-// at every scheduler Clock tick, sample each VCPU's state and assigned
-// PCPU. Makes scheduling behaviour — gang starts, stacking, lock-holder
-// preemption, barrier stalls — directly visible.
+// a kFire-only trace sink that, at every scheduler Clock tick, samples
+// each VCPU's state and assigned PCPU. Makes scheduling behaviour — gang
+// starts, stacking, lock-holder preemption, barrier stalls — directly
+// visible.
 #pragma once
 
 #include <string>
@@ -20,15 +21,15 @@ enum class TickState : char {
   kSpinning = '~',  ///< spinlock extension: burning the PCPU on a spin
 };
 
-class TimelineRecorder final : public san::TraceObserver {
+class TimelineRecorder final : public san::TraceSink {
  public:
-  /// Samples at each firing of `system`'s scheduler Clock. The recorder
+  /// Samples at each firing of `system`'s scheduler Clock, recognised by
+  /// its qualified name. Attach with Simulator::set_trace. The recorder
   /// must not outlive the system. `max_ticks` bounds memory (0 = all).
   explicit TimelineRecorder(const vm::VirtualSystem& system,
                             std::size_t max_ticks = 0);
 
-  void on_fire(san::Time now, const san::Activity& activity,
-               std::size_t case_index) override;
+  void on_event(const san::TraceEvent& event) override;
 
   std::size_t ticks() const noexcept { return states_.size(); }
   int num_vcpus() const noexcept { return num_vcpus_; }
@@ -47,7 +48,7 @@ class TimelineRecorder final : public san::TraceObserver {
 
  private:
   const vm::VirtualSystem* system_;
-  const san::Activity* clock_;
+  std::string clock_name_;
   std::size_t max_ticks_;
   int num_vcpus_;
   std::vector<std::string> labels_;

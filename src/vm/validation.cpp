@@ -7,13 +7,14 @@ namespace vcpusim::vm {
 
 InvariantChecker::InvariantChecker(const VirtualSystem& system,
                                    bool throw_on_violation)
-    : system_(&system),
-      clock_(system.scheduler_places.clock),
+    : san::TraceSink(san::trace_bit(san::TraceCategory::kFire)),
+      system_(&system),
       static_analysis_(san::analyze::analyze_invariants(*system.model)),
       throw_on_violation_(throw_on_violation) {
-  if (clock_ == nullptr) {
+  if (system.scheduler_places.clock == nullptr) {
     throw std::invalid_argument("InvariantChecker: system has no scheduler clock");
   }
+  clock_name_ = system.scheduler_places.clock->name();
 }
 
 void InvariantChecker::check_static(std::vector<std::string>& found,
@@ -160,10 +161,9 @@ std::vector<std::string> InvariantChecker::check_now(san::Time now) {
   return found;
 }
 
-void InvariantChecker::on_fire(san::Time now, const san::Activity& activity,
-                               std::size_t /*case_index*/) {
-  if (&activity != clock_) return;
-  check_now(now);
+void InvariantChecker::on_event(const san::TraceEvent& event) {
+  if (event.name != clock_name_) return;
+  check_now(event.time);
 }
 
 }  // namespace vcpusim::vm

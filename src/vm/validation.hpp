@@ -1,8 +1,9 @@
 // Runtime model validation (paper Section V: "evaluating the fidelity of
-// the model"): a TraceObserver that re-derives the virtualization
-// model's global invariants from the marking at every scheduler tick and
-// records violations. Attach it to any simulation — tests run it under
-// every algorithm; users run it when developing custom schedulers.
+// the model"): a kFire-only trace sink that re-derives the
+// virtualization model's global invariants from the marking at every
+// scheduler tick and records violations. Attach it to any simulation
+// with Simulator::set_trace — tests run it under every algorithm; users
+// run it when developing custom schedulers.
 #pragma once
 
 #include <string>
@@ -14,12 +15,12 @@
 
 namespace vcpusim::vm {
 
-class InvariantChecker final : public san::TraceObserver {
+class InvariantChecker final : public san::TraceSink {
  public:
-  /// Checks `system` at each firing of its scheduler Clock. If
-  /// `throw_on_violation` is set, the first violation raises
-  /// std::logic_error (aborting the run); otherwise violations are
-  /// collected (bounded) and readable afterwards.
+  /// Checks `system` at each firing of its scheduler Clock, recognised
+  /// by its qualified name. If `throw_on_violation` is set, the first
+  /// violation raises std::logic_error (aborting the run); otherwise
+  /// violations are collected (bounded) and readable afterwards.
   ///
   /// Construction also runs the structural invariant engine
   /// (san/analyze/invariants.hpp) on the system's model: every derived
@@ -31,8 +32,7 @@ class InvariantChecker final : public san::TraceObserver {
   explicit InvariantChecker(const VirtualSystem& system,
                             bool throw_on_violation = false);
 
-  void on_fire(san::Time now, const san::Activity& activity,
-               std::size_t case_index) override;
+  void on_event(const san::TraceEvent& event) override;
 
   /// Run all checks against the current marking immediately; returns the
   /// violation messages found in this pass (empty = consistent).
@@ -56,7 +56,7 @@ class InvariantChecker final : public san::TraceObserver {
   void check_static(std::vector<std::string>& found, san::Time now);
 
   const VirtualSystem* system_;
-  const san::Activity* clock_;
+  std::string clock_name_;
   san::analyze::InvariantAnalysis static_analysis_;
   bool throw_on_violation_;
   std::vector<std::string> violations_;

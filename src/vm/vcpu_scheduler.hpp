@@ -57,7 +57,8 @@ struct SchedulerPlaces {
   std::shared_ptr<san::Place<std::vector<int>>> freq_levels;
   std::vector<DvfsLevel> dvfs_levels;
   /// The scheduler's Clock activity (fires once per tick, after all
-  /// guest processing); trace observers hook it to sample per-tick state.
+  /// guest processing); kFire trace sinks match its name to sample
+  /// per-tick state.
   san::Activity* clock = nullptr;
   /// Live bridge counters, owned by the gate context (read anytime).
   std::shared_ptr<const BridgeStats> bridge_stats;

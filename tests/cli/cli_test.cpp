@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 namespace vcpusim::cli {
@@ -126,6 +127,39 @@ TEST(Cli, NegativeJobsFails) {
   const auto r = run({"--jobs", "-2"});
   EXPECT_EQ(r.exit_code, 1);
   EXPECT_NE(r.err.find("--jobs"), std::string::npos);
+}
+
+TEST(Cli, MalformedNumbersFailNamingTheFlag) {
+  // Every numeric flag consumes its whole value; integer flags also
+  // reject fractional and negative text.
+  const std::vector<std::pair<const char*, const char*>> cases = {
+      {"--pcpus", "4x"},          {"--seed", "abc"},
+      {"--end-time", "300x"},     {"--warmup", ""},
+      {"--timeslice", "5ms"},     {"--half-width", "0.1.2"},
+      {"--pcpus", "2.5"},         {"--vm", "-1"},
+      {"--sync", "1.5"},          {"--seed", "-3"},
+      {"--min-replications", "2.5"}, {"--max-replications", "1e300"},
+      {"--jobs", "1.5"}};
+  for (const auto& [flag, value] : cases) {
+    const auto r = run({flag, value, "--vm", "1"});
+    EXPECT_EQ(r.exit_code, 1) << flag << ' ' << value;
+    EXPECT_NE(r.err.find(flag), std::string::npos) << r.err;
+    EXPECT_EQ(r.out, "") << flag << ' ' << value;
+  }
+}
+
+TEST(Cli, UnreachableTargetsFail) {
+  // Parsed fine, but no run could ever meet them: a NaN or negative
+  // half-width target, and a horizon past 2^53 ticks.
+  for (const char* width : {"nan", "-1"}) {
+    const auto r = run({"--vm", "2", "--half-width", width, "--end-time",
+                        "300", "--warmup", "50", "--max-replications", "3"});
+    EXPECT_NE(r.exit_code, 0) << width;
+    EXPECT_NE(r.err.find("target_half_width"), std::string::npos) << r.err;
+  }
+  const auto r = run({"--vm", "2", "--end-time", "1e300"});
+  EXPECT_NE(r.exit_code, 0);
+  EXPECT_NE(r.err.find("end_time"), std::string::npos) << r.err;
 }
 
 TEST(Cli, CsvOutput) {

@@ -121,6 +121,14 @@ TEST(Scenario, RejectsMalformedInput) {
   EXPECT_THROW(parse("pcpus = 2\n"), std::invalid_argument);  // no VMs
   EXPECT_THROW(parse("algorithm = warp\n[vm]\nvcpus=1\n"),
                std::invalid_argument);  // unknown algorithm
+  // Integer keys take whole numbers in range only.
+  for (const char* text :
+       {"pcpus = 2.5\n[vm]\nvcpus = 1\n", "seed = -1\n[vm]\nvcpus = 1\n",
+        "jobs = 1.5\n[vm]\nvcpus = 1\n",
+        "max_replications = 1e300\n[vm]\nvcpus = 1\n",
+        "[vm]\nvcpus = 2.5\n", "[vm]\nvcpus = 1\nsync_ratio = -2\n"}) {
+    EXPECT_THROW(parse(text), std::invalid_argument) << text;
+  }
 }
 
 TEST(Scenario, UnknownVmKeyRejected) {

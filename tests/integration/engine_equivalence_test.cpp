@@ -14,32 +14,16 @@
 #include <vector>
 
 #include "san/simulator.hpp"
-#include "san/trace.hpp"
 #include "sched/registry.hpp"
+#include "trace/sinks.hpp"
 #include "vm/metrics.hpp"
 #include "vm/system_builder.hpp"
 
 namespace vcpusim {
 namespace {
 
-/// Full firing record; equality across engines is the trajectory check.
-class Recorder final : public san::TraceObserver {
- public:
-  struct Entry {
-    san::Time time;
-    std::string activity;
-    std::size_t case_index;
-    bool operator==(const Entry&) const = default;
-  };
-  void on_fire(san::Time now, const san::Activity& activity,
-               std::size_t case_index) override {
-    entries.push_back({now, activity.name(), case_index});
-  }
-  std::vector<Entry> entries;
-};
-
 struct Outcome {
-  std::vector<Recorder::Entry> fires;
+  std::vector<trace::OwnedTraceEvent> fires;
   san::RunStats stats;
   double avail, util, pcpu;
   std::int64_t jobs;
@@ -66,15 +50,15 @@ Outcome run_stack(const std::string& algorithm, san::Engine engine,
   config.engine = engine;
   config.incremental_enabling = incremental;
   san::Simulator sim(config);
-  Recorder rec;
-  sim.add_observer(rec);
+  trace::RingBufferSink rec(0, san::trace_bit(san::TraceCategory::kFire));
+  sim.set_trace(&rec);
   sim.add_reward(*avail);
   sim.add_reward(*util);
   sim.add_reward(*pcpu);
   if (energy != nullptr) sim.add_reward(*energy);
   sim.set_model(*system->model);
   const auto stats = sim.run();
-  return {std::move(rec.entries), stats,
+  return {rec.entries(), stats,
           avail->time_averaged(400.0), util->time_averaged(400.0),
           pcpu->time_averaged(400.0), vm::total_completed_jobs(*system),
           energy != nullptr ? energy->accumulated() : 0.0};

@@ -12,7 +12,7 @@
 #include "san/sanitizer.hpp"
 #include "san/simulator.hpp"
 #include "sched/registry.hpp"
-#include "trace/event_log.hpp"
+#include "trace/sinks.hpp"
 #include "vm/system_builder.hpp"
 
 namespace vcpusim {
@@ -30,7 +30,7 @@ vm::SystemConfig fig8_config(bool spinlock) {
 }
 
 /// FNV-1a over the full completion sequence.
-std::uint64_t trace_digest(const trace::EventLog& log) {
+std::uint64_t trace_digest(const trace::RingBufferSink& log) {
   std::uint64_t h = 14695981039346656037ull;
   const auto mix = [&h](const void* data, std::size_t size) {
     const auto* bytes = static_cast<const unsigned char*>(data);
@@ -41,8 +41,8 @@ std::uint64_t trace_digest(const trace::EventLog& log) {
   };
   for (const auto& e : log.entries()) {
     mix(&e.time, sizeof(e.time));
-    mix(e.activity.data(), e.activity.size());
-    mix(&e.case_index, sizeof(e.case_index));
+    mix(e.name.data(), e.name.size());
+    mix(&e.a, sizeof(e.a));  // case index, 8 bytes
   }
   return h;
 }
@@ -64,8 +64,8 @@ TraceRun run_trace(const std::string& algorithm, bool spinlock,
   config.verify_footprints = verify_footprints;
   san::Simulator sim(config);
   sim.set_model(*system->model);
-  trace::EventLog log;
-  sim.add_observer(log);
+  trace::RingBufferSink log(0, san::trace_bit(san::TraceCategory::kFire));
+  sim.set_trace(&log);
   const auto stats = sim.run();
   TraceRun run;
   run.events = stats.events;

@@ -16,27 +16,11 @@
 
 #include "san/compiled.hpp"
 #include "san/simulator.hpp"
-#include "san/trace.hpp"
 #include "stats/distribution.hpp"
+#include "trace/sinks.hpp"
 
 namespace vcpusim::san {
 namespace {
-
-/// Records every completion for trajectory comparison across engines.
-class Recorder final : public TraceObserver {
- public:
-  struct Entry {
-    Time time;
-    std::string activity;
-    std::size_t case_index;
-    bool operator==(const Entry&) const = default;
-  };
-  void on_fire(Time now, const Activity& activity,
-               std::size_t case_index) override {
-    entries.push_back({now, activity.name(), case_index});
-  }
-  std::vector<Entry> entries;
-};
 
 SimulatorConfig config_with(Engine engine, Time end, std::uint64_t seed) {
   SimulatorConfig c;
@@ -117,7 +101,7 @@ struct MixedModel {
 };
 
 struct RunResult {
-  std::vector<Recorder::Entry> fires;
+  std::vector<trace::OwnedTraceEvent> fires;
   RunStats stats;
   std::int64_t buffer, done, opaque_hits;
 };
@@ -128,11 +112,11 @@ RunResult run_mixed(Engine engine, Time end, std::uint64_t seed,
   auto config = config_with(engine, end, seed);
   config.incremental_enabling = incremental;
   Simulator sim(config);
-  Recorder rec;
-  sim.add_observer(rec);
+  trace::RingBufferSink rec(0, trace_bit(TraceCategory::kFire));
+  sim.set_trace(&rec);
   sim.set_model(*m.model);
   const auto stats = sim.run();
-  return {std::move(rec.entries), stats, m.buffer->get(), m.done->get(),
+  return {rec.entries(), stats, m.buffer->get(), m.done->get(),
           m.opaque_hits->get()};
 }
 
@@ -182,21 +166,21 @@ TEST(CompiledEngine, CalendarHandlesFarFutureDelays) {
   for (const std::uint64_t seed : {3ull, 11ull}) {
     auto [om, ocount] = build();
     Simulator obj(config_with(Engine::kObjectGraph, 5000.0, seed));
-    Recorder orec;
-    obj.add_observer(orec);
+    trace::RingBufferSink orec(0, trace_bit(TraceCategory::kFire));
+    obj.set_trace(&orec);
     obj.set_model(*om);
     const auto ostats = obj.run();
 
     auto [cm, ccount] = build();
     Simulator comp(config_with(Engine::kCompiled, 5000.0, seed));
-    Recorder crec;
-    comp.add_observer(crec);
+    trace::RingBufferSink crec(0, trace_bit(TraceCategory::kFire));
+    comp.set_trace(&crec);
     comp.set_model(*cm);
     const auto cstats = comp.run();
 
     ASSERT_GT(ostats.events, 10u);
     EXPECT_EQ(ostats.events, cstats.events);
-    EXPECT_EQ(orec.entries, crec.entries) << "seed " << seed;
+    EXPECT_EQ(orec.entries(), crec.entries()) << "seed " << seed;
     EXPECT_EQ(ocount->get(), ccount->get());
   }
 }
@@ -220,20 +204,20 @@ TEST(CompiledEngine, CalendarOrdersFractionalTimesWithinBucket) {
   };
   auto [om, ocount] = build();
   Simulator obj(config_with(Engine::kObjectGraph, 50.0, 9));
-  Recorder orec;
-  obj.add_observer(orec);
+  trace::RingBufferSink orec(0, trace_bit(TraceCategory::kFire));
+  obj.set_trace(&orec);
   obj.set_model(*om);
   obj.run();
 
   auto [cm, ccount] = build();
   Simulator comp(config_with(Engine::kCompiled, 50.0, 9));
-  Recorder crec;
-  comp.add_observer(crec);
+  trace::RingBufferSink crec(0, trace_bit(TraceCategory::kFire));
+  comp.set_trace(&crec);
   comp.set_model(*cm);
   comp.run();
 
-  ASSERT_GT(orec.entries.size(), 100u);
-  EXPECT_EQ(orec.entries, crec.entries);
+  ASSERT_GT(orec.entries().size(), 100u);
+  EXPECT_EQ(orec.entries(), crec.entries());
   EXPECT_EQ(ocount->get(), ccount->get());
 }
 
@@ -242,20 +226,20 @@ TEST(CompiledEngine, AdvanceInStepsMatchesOneShot) {
   // unfired events stay queued); stepping must replay the one-shot run.
   auto one = MixedModel::build();
   Simulator whole(config_with(Engine::kCompiled, 100.0, 13));
-  Recorder wrec;
-  whole.add_observer(wrec);
+  trace::RingBufferSink wrec(0, trace_bit(TraceCategory::kFire));
+  whole.set_trace(&wrec);
   whole.set_model(*one.model);
   const auto wstats = whole.run();
 
   auto stepped = MixedModel::build();
   Simulator steps(config_with(Engine::kCompiled, 100.0, 13));
-  Recorder srec;
-  steps.add_observer(srec);
+  trace::RingBufferSink srec(0, trace_bit(TraceCategory::kFire));
+  steps.set_trace(&srec);
   steps.set_model(*stepped.model);
   steps.reset();
   RunStats sstats;
   for (Time t = 12.5; t <= 100.0; t += 12.5) sstats = steps.advance_until(t);
-  EXPECT_EQ(wrec.entries, srec.entries);
+  EXPECT_EQ(wrec.entries(), srec.entries());
   EXPECT_EQ(wstats.events, sstats.events);
   EXPECT_EQ(one.done->get(), stepped.done->get());
 }
@@ -288,20 +272,20 @@ TEST(CompiledEngine, ResetRestoresMarkingsWithoutPerPlaceResets) {
 TEST(CompiledEngine, ResetWithSeedReplaysIdenticalReplication) {
   auto m = MixedModel::build();
   Simulator sim(config_with(Engine::kCompiled, 80.0, 21));
-  Recorder rec;
-  sim.add_observer(rec);
+  trace::RingBufferSink rec(0, trace_bit(TraceCategory::kFire));
+  sim.set_trace(&rec);
   sim.set_model(*m.model);
   sim.run();
-  const auto first = rec.entries;
+  const auto first = rec.entries();
   const auto done_first = m.done->get();
   ASSERT_FALSE(first.empty());
 
   // Same seed after reset: byte-identical replay off the arena image
   // (the zero-rebuild replication path the system pool relies on).
-  rec.entries.clear();
+  rec.clear();
   sim.reset(21);
   sim.advance_until(80.0);
-  EXPECT_EQ(rec.entries, first);
+  EXPECT_EQ(rec.entries(), first);
   EXPECT_EQ(m.done->get(), done_first);
 }
 

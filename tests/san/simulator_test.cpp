@@ -2,28 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
 #include "stats/distribution.hpp"
+#include "trace/sinks.hpp"
 
 namespace vcpusim::san {
 namespace {
-
-/// Records every completion for trajectory assertions.
-class Recorder final : public TraceObserver {
- public:
-  struct Entry {
-    Time time;
-    std::string activity;
-    std::size_t case_index;
-  };
-  void on_fire(Time now, const Activity& activity,
-               std::size_t case_index) override {
-    entries.push_back({now, activity.name(), case_index});
-  }
-  std::vector<Entry> entries;
-};
 
 SimulatorConfig config_for(Time end, std::uint64_t seed = 1) {
   SimulatorConfig c;
@@ -38,9 +26,19 @@ TEST(Simulator, RequiresModel) {
 }
 
 TEST(Simulator, RejectsNonPositiveEndTime) {
+  // Also rejects horizons a double clock cannot step through: non-finite
+  // ones and anything past 2^53, where now + 1 == now.
+  for (const Time end : {0.0, -1.0, std::nan(""),
+                         std::numeric_limits<Time>::infinity(),
+                         std::nextafter(SimulatorConfig::kMaxEndTime, 1e300),
+                         1e300}) {
+    SimulatorConfig c;
+    c.end_time = end;
+    EXPECT_THROW(Simulator{c}, std::invalid_argument) << end;
+  }
   SimulatorConfig c;
-  c.end_time = 0;
-  EXPECT_THROW(Simulator{c}, std::invalid_argument);
+  c.end_time = SimulatorConfig::kMaxEndTime;
+  EXPECT_NO_THROW(Simulator{c});
 }
 
 TEST(Simulator, SettingModelAgainSwapsTheModel) {
@@ -142,14 +140,14 @@ TEST(Simulator, InstantaneousFiresBeforeTimeAdvances) {
 
   Simulator sim(config_for(3.5));
   sim.set_model(cm);
-  Recorder rec;
-  sim.add_observer(rec);
+  trace::RingBufferSink rec(0, trace_bit(TraceCategory::kFire));
+  sim.set_trace(&rec);
   sim.run();
   EXPECT_EQ(fired_at->get(), 3);  // same instant as the timed firing
-  ASSERT_EQ(rec.entries.size(), 2u);
-  EXPECT_EQ(rec.entries[0].activity, "S->timed");
-  EXPECT_EQ(rec.entries[1].activity, "S->inst");
-  EXPECT_EQ(rec.entries[0].time, rec.entries[1].time);
+  ASSERT_EQ(rec.entries().size(), 2u);
+  EXPECT_EQ(rec.entries()[0].name, "S->timed");
+  EXPECT_EQ(rec.entries()[1].name, "S->inst");
+  EXPECT_EQ(rec.entries()[0].time, rec.entries()[1].time);
 }
 
 TEST(Simulator, InstantaneousEnabledAtTimeZeroFiresBeforeAnything) {
@@ -309,23 +307,23 @@ TEST(Simulator, SameSeedSameTrajectory) {
     queue_out = queue;
   };
 
-  std::vector<Recorder::Entry> first;
+  std::vector<trace::OwnedTraceEvent> first;
   for (int run = 0; run < 2; ++run) {
     ComposedModel cm("M");
     std::shared_ptr<TokenPlace> queue;
     build(cm, queue);
     Simulator sim(config_for(200.0, 42));
     sim.set_model(cm);
-    Recorder rec;
-    sim.add_observer(rec);
+    trace::RingBufferSink rec(0, trace_bit(TraceCategory::kFire));
+    sim.set_trace(&rec);
     sim.run();
     if (run == 0) {
-      first = rec.entries;
+      first = rec.entries();
     } else {
-      ASSERT_EQ(first.size(), rec.entries.size());
+      ASSERT_EQ(first.size(), rec.entries().size());
       for (std::size_t i = 0; i < first.size(); ++i) {
-        EXPECT_EQ(first[i].time, rec.entries[i].time);
-        EXPECT_EQ(first[i].activity, rec.entries[i].activity);
+        EXPECT_EQ(first[i].time, rec.entries()[i].time);
+        EXPECT_EQ(first[i].name, rec.entries()[i].name);
       }
     }
   }
@@ -433,7 +431,7 @@ TEST(Simulator, ProbabilisticCasesViaSimulator) {
 enum class Footprints { kNone, kPartial, kAll };
 
 struct TandemOutcome {
-  std::vector<Recorder::Entry> entries;
+  std::vector<trace::OwnedTraceEvent> entries;
   std::int64_t done = 0;
   std::uint64_t events = 0;
   std::uint64_t enabling_evals = 0;
@@ -492,10 +490,10 @@ TandemOutcome run_tandem(Footprints footprints, bool incremental,
   config.incremental_enabling = incremental;
   Simulator sim(config);
   sim.set_model(cm);
-  Recorder rec;
-  sim.add_observer(rec);
+  trace::RingBufferSink rec(0, trace_bit(TraceCategory::kFire));
+  sim.set_trace(&rec);
   const auto stats = sim.run();
-  return {std::move(rec.entries), done->get(), stats.events,
+  return {rec.entries(), done->get(), stats.events,
           stats.enabling_evals};
 }
 
@@ -512,10 +510,8 @@ TEST(SimulatorIncremental, MatchesFullScanTrajectoryForEveryFootprintMix) {
       ASSERT_EQ(full.entries.size(), incremental.entries.size());
       for (std::size_t i = 0; i < full.entries.size(); ++i) {
         EXPECT_EQ(full.entries[i].time, incremental.entries[i].time) << i;
-        EXPECT_EQ(full.entries[i].activity, incremental.entries[i].activity)
-            << i;
-        EXPECT_EQ(full.entries[i].case_index, incremental.entries[i].case_index)
-            << i;
+        EXPECT_EQ(full.entries[i].name, incremental.entries[i].name) << i;
+        EXPECT_EQ(full.entries[i].a, incremental.entries[i].a) << i;
       }
     }
   }
@@ -597,11 +593,11 @@ TEST(SimulatorIncremental, DynamicWritesDirtyOnlyTouchedPlaces) {
     config.incremental_enabling = true;
     Simulator sim(config);
     sim.set_model(cm);
-    Recorder rec;
-    sim.add_observer(rec);
+    trace::RingBufferSink rec(0, trace_bit(TraceCategory::kFire));
+    sim.set_trace(&rec);
     sim.run();
-    for (const auto& e : rec.entries) {
-      if (e.activity == "S->watch") return e.time;
+    for (const auto& e : rec.entries()) {
+      if (e.name == "S->watch") return e.time;
     }
     return -1.0;
   };
@@ -650,10 +646,10 @@ TEST(Simulator, ResetWithSeedReplaysFreshSimulator) {
     build(cm);
     Simulator sim(config_for(150.0, seed));
     sim.set_model(cm);
-    Recorder rec;
-    sim.add_observer(rec);
+    trace::RingBufferSink rec(0, trace_bit(TraceCategory::kFire));
+    sim.set_trace(&rec);
     const auto stats = sim.run();
-    return std::pair{rec.entries, stats};
+    return std::pair{rec.entries(), stats};
   };
   const auto [first_ref, first_stats] = fresh(42);
   const auto [second_ref, second_stats] = fresh(7);
@@ -667,22 +663,22 @@ TEST(Simulator, ResetWithSeedReplaysFreshSimulator) {
   build(cm);
   Simulator sim(config_for(150.0, 1234));
   sim.set_model(cm);
-  Recorder rec;
-  sim.add_observer(rec);
+  trace::RingBufferSink rec(0, trace_bit(TraceCategory::kFire));
+  sim.set_trace(&rec);
 
   const auto replay = [&](std::uint64_t seed) {
-    rec.entries.clear();
+    rec.clear();
     sim.reset(seed);
     return sim.advance_until(150.0);
   };
-  const auto check = [&](const std::vector<Recorder::Entry>& ref,
+  const auto check = [&](const std::vector<trace::OwnedTraceEvent>& ref,
                          const RunStats& ref_stats, const RunStats& got) {
     EXPECT_EQ(got.events, ref_stats.events);
     EXPECT_EQ(got.enabling_evals, ref_stats.enabling_evals);
-    ASSERT_EQ(rec.entries.size(), ref.size());
+    ASSERT_EQ(rec.entries().size(), ref.size());
     for (std::size_t i = 0; i < ref.size(); ++i) {
-      EXPECT_EQ(rec.entries[i].time, ref[i].time) << i;
-      EXPECT_EQ(rec.entries[i].activity, ref[i].activity) << i;
+      EXPECT_EQ(rec.entries()[i].time, ref[i].time) << i;
+      EXPECT_EQ(rec.entries()[i].name, ref[i].name) << i;
     }
   };
   check(second_ref, second_stats, replay(7));

@@ -207,6 +207,10 @@ struct ParseCase {
   double mean;
 };
 
+// Without this GoogleTest dumps the raw bytes of the case, which include the
+// string's data pointer, so the test name would change from build to build.
+void PrintTo(const ParseCase& c, std::ostream* os) { *os << c.spec; }
+
 class ParseDistribution : public ::testing::TestWithParam<ParseCase> {};
 
 TEST_P(ParseDistribution, ParsesAndMeanMatches) {

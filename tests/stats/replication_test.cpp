@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <mutex>
 #include <vector>
 
@@ -115,6 +117,24 @@ TEST(Replication, RejectsMinBelowTwo) {
                                 },
                                 policy),
                std::invalid_argument);
+}
+
+TEST(Replication, RejectsNonPositiveOrNonFiniteHalfWidth) {
+  // NaN and non-positive targets can never be met, so the run would go
+  // silently to the replication cap; an infinite one stops at
+  // min_replications whatever the spread.
+  for (const double target : {0.0, -1.0, std::nan(""),
+                              std::numeric_limits<double>::infinity()}) {
+    ReplicationPolicy policy;
+    policy.target_half_width = target;
+    EXPECT_THROW(run_replications({"m"},
+                                  [](std::size_t) {
+                                    return std::vector<double>{1.0};
+                                  },
+                                  policy),
+                 std::invalid_argument)
+        << target;
+  }
 }
 
 TEST(Replication, UnknownMetricNameThrows) {

@@ -16,7 +16,7 @@ san::RunStats run_with(vm::VirtualSystem& system,
   config.seed = seed;
   san::Simulator sim(config);
   sim.set_model(*system.model);
-  sim.add_observer(analyzer);
+  sim.set_trace(&analyzer);
   return sim.run();
 }
 

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "san/simulator.hpp"
+#include "stats/distribution.hpp"
 #include "testing/json.hpp"
 
 namespace vcpusim::trace {
@@ -57,6 +59,29 @@ TEST(RingBufferSink, CountByCategoryAndClear) {
   sink.clear();
   EXPECT_EQ(sink.total_events(), 0U);
   EXPECT_TRUE(sink.entries().empty());
+}
+
+TEST(RingBufferSink, FireOnlyRecordsEveryCompletion) {
+  san::ComposedModel model("M");
+  auto& sub = model.add_submodel("S");
+  auto count = sub.add_place<std::int64_t>("count", 0);
+  auto& clock = sub.add_timed_activity("clock", stats::make_deterministic(1.0));
+  clock.add_output_gate({"inc",
+                         [count](san::GateContext&) { count->mut() += 1; },
+                         san::access({}, {count})});
+  san::SimulatorConfig config;
+  config.end_time = 10.0;
+  san::Simulator sim(config);
+  sim.set_model(model);
+  RingBufferSink sink(0, san::trace_bit(TraceCategory::kFire));
+  sim.set_trace(&sink);
+  const auto stats = sim.run();
+  ASSERT_EQ(sink.entries().size(), stats.events);
+  EXPECT_EQ(sink.count(TraceCategory::kFire), stats.events);
+  EXPECT_EQ(sink.dropped(), 0U);
+  EXPECT_EQ(sink.entries().front().name, "S->clock");
+  EXPECT_EQ(sink.entries().front().time, 1.0);
+  EXPECT_EQ(sink.entries().back().time, 10.0);
 }
 
 TEST(RingBufferSink, ReplayForwardsInOrderHonoringFilter) {

@@ -21,7 +21,7 @@ san::RunStats run_with(vm::VirtualSystem& system, TimelineRecorder& recorder,
   config.seed = seed;
   san::Simulator sim(config);
   sim.set_model(*system.model);
-  sim.add_observer(recorder);
+  sim.set_trace(&recorder);
   return sim.run();
 }
 

@@ -15,7 +15,7 @@ san::RunStats run_checked(VirtualSystem& system, InvariantChecker& checker,
   config.seed = seed;
   san::Simulator sim(config);
   sim.set_model(*system.model);
-  sim.add_observer(checker);
+  sim.set_trace(&checker);
   return sim.run();
 }
 

@@ -220,26 +220,33 @@ void BM_ParallelRunPoint(benchmark::State& state) {
 BENCHMARK(BM_ParallelRunPoint)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-/// Setup-cost amortization of the zero-rebuild replication engine: a
-/// run_point with a deliberately short horizon, so per-replication
-/// system construction (places, gate closures, dependency index) is a
-/// large share of the work. args = (total VCPUs, pooled 0/1): the
-/// pooled row reuses one built (system, simulator) slot per executor
-/// lane via SystemPool, the rebuild row is the legacy
-/// build-per-replication path. CI gates pooled >= 2x rebuild
-/// replications_per_s at every size (see docs/PERFORMANCE.md).
+/// Setup-cost amortization of the system pool, at args = total VCPUs on
+/// a fig8-style shape with a deliberately short horizon:
+///  * BM_ReplicationSetup runs 32 fixed replications through run_point,
+///    which builds one (system, simulator) slot and resets it for every
+///    later replication;
+///  * BM_SlotSetup times the one-time work of a slot's first checkout
+///    that the pool amortizes: vm::build_system, Simulator construction
+///    and set_model.
+/// Building per replication would pay both for every replication, so CI
+/// gates (setup + pooled replication) / pooled replication >= 2 at every
+/// size (see docs/PERFORMANCE.md).
+vm::SystemConfig setup_config(int vcpus) {
+  const int vms = vcpus / 2;
+  return vm::make_symmetric_config(
+      vms, std::vector<int>(static_cast<std::size_t>(vms), 2), 5);
+}
+
+constexpr san::Time kSetupEndTime = 20.0;  // short horizon: setup dominates
+
 void BM_ReplicationSetup(benchmark::State& state) {
   const int vcpus = static_cast<int>(state.range(0));
-  const bool pooled = state.range(1) != 0;
-  const int vms = vcpus / 2;
   exp::RunSpec spec;
-  spec.system = vm::make_symmetric_config(
-      vms, std::vector<int>(static_cast<std::size_t>(vms), 2), 5);
+  spec.system = setup_config(vcpus);
   spec.scheduler = sched::make_factory("rrs");
-  spec.end_time = 20.0;  // short horizon: setup cost dominates
+  spec.end_time = kSetupEndTime;
   spec.warmup = 5.0;
   spec.jobs = 1;
-  spec.reuse_systems = pooled;
   spec.policy.min_replications = 32;
   spec.policy.max_replications = 32;
   spec.policy.target_half_width = 1e-12;  // never converges early
@@ -252,12 +259,29 @@ void BM_ReplicationSetup(benchmark::State& state) {
   state.counters["replications_per_s"] =
       benchmark::Counter(total_replications, benchmark::Counter::kIsRate);
   state.counters["vcpus"] = static_cast<double>(vcpus);
-  state.counters["pooled"] = pooled ? 1.0 : 0.0;
 }
-BENCHMARK(BM_ReplicationSetup)
-    ->Args({4, 0})->Args({4, 1})
-    ->Args({16, 0})->Args({16, 1})
-    ->Args({64, 0})->Args({64, 1})
+BENCHMARK(BM_ReplicationSetup)->Arg(4)->Arg(16)->Arg(64)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_SlotSetup(benchmark::State& state) {
+  const int vcpus = static_cast<int>(state.range(0));
+  const vm::SystemConfig config = setup_config(vcpus);
+  const auto factory = sched::make_factory("rrs");
+  san::SimulatorConfig sim_config;
+  sim_config.end_time = kSetupEndTime;
+  double total_setups = 0;
+  for (auto _ : state) {
+    auto system = vm::build_system(config, factory());
+    san::Simulator sim(sim_config);
+    sim.set_model(*system->model);
+    benchmark::DoNotOptimize(system.get());
+    total_setups += 1;
+  }
+  state.counters["setups_per_s"] =
+      benchmark::Counter(total_setups, benchmark::Counter::kIsRate);
+  state.counters["vcpus"] = static_cast<double>(vcpus);
+}
+BENCHMARK(BM_SlotSetup)->Arg(4)->Arg(16)->Arg(64)
     ->Unit(benchmark::kMillisecond);
 
 /// Incremental vs full-scan enabling on a large composed system: the

@@ -70,11 +70,6 @@ constexpr const char* kUsage = R"(usage: vcpusim [run] [options]
   --jobs N               worker threads for replication batches
                          (default 1; 0 = all hardware threads). Results
                          are identical for every value of N
-  --rebuild-systems      build a fresh system per replication instead of
-                         reusing pooled (system, simulator) slots.
-                         Results are bit-identical either way; the flag
-                         exists for benchmarking the zero-rebuild engine
-                         (scenario key: reuse_systems = true/false)
   --metrics-out FILE     write the run-metrics registry (sim.*, sched.*,
                          executor.*, metric.*) as JSON to FILE
   --profile              collect wall-clock phase timings (settle/fire,
@@ -254,8 +249,6 @@ int parse_args(int argc, const char* const* argv, Options& options,
         spec.jobs = parse_count(arg, v);
       } else if (arg == "--dvfs") {
         spec.system.dvfs.enabled = true;
-      } else if (arg == "--rebuild-systems") {
-        spec.reuse_systems = false;
       } else if (arg == "--verify-footprints") {
         spec.verify_footprints = true;
       } else if (arg == "--engine") {

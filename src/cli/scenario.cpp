@@ -50,6 +50,17 @@ std::uint64_t parse_count(int line, const std::string& key,
   }
 }
 
+/// A min/max_replications value, held to the rule run_replications
+/// enforces.
+std::size_t parse_replications(int line, const std::string& key,
+                               const std::string& v) {
+  const std::uint64_t n = parse_count(line, key, v);
+  if (!stats::ReplicationPolicy::valid_replication_bound(n)) {
+    fail(line, key + " must be >= 2, got " + v);
+  }
+  return n;
+}
+
 std::vector<std::string> split(const std::string& s, char sep) {
   std::vector<std::string> parts;
   std::istringstream is(s);
@@ -289,34 +300,39 @@ Scenario parse_scenario(std::istream& in) {
       } else if (key == "algorithm") {
         scenario.algorithm = lower(value);
       } else if (key == "end_time") {
-        scenario.spec.end_time = parse_number(line, key, value);
+        const double t = parse_number(line, key, value);
+        if (!san::SimulatorConfig::valid_end_time(t)) {
+          fail(line, "end_time must be in (0, 2^53], got " + value);
+        }
+        scenario.spec.end_time = t;
       } else if (key == "warmup") {
         scenario.spec.warmup = parse_number(line, key, value);
       } else if (key == "seed") {
         scenario.spec.base_seed = parse_count(line, key, value);
       } else if (key == "confidence") {
-        scenario.spec.policy.confidence = parse_number(line, key, value);
+        const double c = parse_number(line, key, value);
+        if (!stats::ReplicationPolicy::valid_confidence(c)) {
+          fail(line, "confidence must be in (0, 1), got " + value);
+        }
+        scenario.spec.policy.confidence = c;
       } else if (key == "half_width") {
-        scenario.spec.policy.target_half_width = parse_number(line, key, value);
+        const double w = parse_number(line, key, value);
+        if (!stats::ReplicationPolicy::valid_half_width(w)) {
+          fail(line, "half_width must be finite and > 0, got " + value);
+        }
+        scenario.spec.policy.target_half_width = w;
       } else if (key == "min_replications") {
-        scenario.spec.policy.min_replications = parse_count(line, key, value);
+        scenario.spec.policy.min_replications =
+            parse_replications(line, key, value);
       } else if (key == "max_replications") {
-        scenario.spec.policy.max_replications = parse_count(line, key, value);
+        scenario.spec.policy.max_replications =
+            parse_replications(line, key, value);
       } else if (key == "controller") {
         if (!stats::parse_controller(lower(value), scenario.spec.controller)) {
           fail(line, "controller must be 'fixed', 'adaptive' or 'antithetic'");
         }
       } else if (key == "jobs") {
         scenario.spec.jobs = parse_count(line, key, value);
-      } else if (key == "reuse_systems") {
-        const std::string flag = lower(value);
-        if (flag == "true" || flag == "on" || flag == "1") {
-          scenario.spec.reuse_systems = true;
-        } else if (flag == "false" || flag == "off" || flag == "0") {
-          scenario.spec.reuse_systems = false;
-        } else {
-          fail(line, "reuse_systems must be true/false, on/off or 1/0");
-        }
       } else if (key == "verify_footprints") {
         const std::string flag = lower(value);
         if (flag == "true" || flag == "on" || flag == "1") {

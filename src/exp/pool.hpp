@@ -1,15 +1,15 @@
 // Reusable pool of fully built virtualization systems (the zero-rebuild
-// replication engine, docs/PERFORMANCE.md). Building a system allocates
-// every place, gate closure and the simulator's enabling-dependency
-// index — pure setup cost repeated per replication by the rebuild path.
-// The pool amortizes it: each executor lane checks out one built slot,
+// replication engine, docs/PERFORMANCE.md) — the only way exp::run_point
+// runs a replication. Building a system allocates every place, gate
+// closure and the simulator's enabling-dependency index; the pool pays
+// that once per slot: each executor lane checks out one built slot,
 // resets it (Simulator::reset(seed) + VirtualSystem::reset()) and runs,
-// so `--jobs N` builds exactly N systems no matter how many replications
+// so `--jobs N` builds at most N systems no matter how many replications
 // the stopping rule takes. Reset ≡ fresh-construct is test-enforced
-// (sched::check_scheduler_contract's reset drive plus the
-// reuse-vs-rebuild bit-identity tests), which is what makes the pooled
-// results bit-identical to the rebuild path even though slot-to-
-// replication assignment is scheduling-dependent.
+// (sched::check_scheduler_contract's reset drive, and
+// tests/exp/pool_test.cpp, which checks pooled runs bit for bit against
+// a system built from scratch for every replication), so results do not
+// depend on which slot served which replication.
 #pragma once
 
 #include <cstdint>

@@ -68,21 +68,13 @@ struct RunSpec {
   /// ReplicationResult bit for bit. See docs/PERFORMANCE.md.
   std::size_t jobs = 1;
 
-  /// Reuse fully built systems across replications (the zero-rebuild
-  /// engine, docs/PERFORMANCE.md): each executor lane checks a built
-  /// (system, simulator) slot out of a SystemPool and resets it instead
-  /// of rebuilding, so a run builds at most `jobs` systems. Results,
-  /// traces and counters are bit-identical to the rebuild path
-  /// (test-enforced). `false` selects the legacy build-per-replication
-  /// path — the comparison baseline for the identity tests and
-  /// BM_ReplicationSetup.
-  bool reuse_systems = true;
-
-  /// Optional externally owned pool, shared across run_point calls whose
-  /// spec.system has the same SystemPool fingerprint (run_sweep shares
-  /// one pool per sweep row). Throws std::invalid_argument on a
-  /// fingerprint mismatch. Null: the run uses a private pool. Ignored
-  /// when reuse_systems is false.
+  /// Every replication runs on a built (system, simulator) slot checked
+  /// out of an exp::SystemPool and reset, so a run builds at most `jobs`
+  /// systems (docs/PERFORMANCE.md). By default run_point makes a private
+  /// pool; set this to share an externally owned one across run_point
+  /// calls whose spec.system has the same SystemPool fingerprint
+  /// (run_sweep shares one pool per sweep row, compare_points one per
+  /// comparison). Throws std::invalid_argument on a fingerprint mismatch.
   SystemPool* pool = nullptr;
 
   /// Forwarded to san::SimulatorConfig::incremental_enabling: use the

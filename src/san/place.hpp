@@ -177,8 +177,12 @@ class PlaceBase {
   static void note_reset() noexcept { ++reset_count_; }
 
  private:
-  static thread_local PlaceAccessListener* listener_;
-  static thread_local std::uint64_t reset_count_;
+  // Inline, constant-initialized definitions, so every TU reads the
+  // slots directly. Defined out of line, other TUs reached them through
+  // gcc's TLS wrapper (with a weak, undefined init hook), and UBSan
+  // reported that read as a null-pointer load.
+  static inline thread_local PlaceAccessListener* listener_ = nullptr;
+  static inline thread_local std::uint64_t reset_count_ = 0;
 
   std::string name_;
   std::uint32_t compiled_id_ = kNoCompiledId;

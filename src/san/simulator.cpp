@@ -55,8 +55,7 @@ bool parse_engine(std::string_view text, Engine& out) noexcept {
 
 Simulator::Simulator(SimulatorConfig config)
     : config_(config), rng_(config.seed) {
-  if (!(config_.end_time > 0 &&
-        config_.end_time <= SimulatorConfig::kMaxEndTime)) {
+  if (!SimulatorConfig::valid_end_time(config_.end_time)) {
     throw std::invalid_argument("Simulator: end_time must be in (0, 2^53]");
   }
 }

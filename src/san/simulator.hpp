@@ -64,6 +64,11 @@ bool parse_engine(std::string_view text, Engine& out) noexcept;
 struct SimulatorConfig {
   /// Past 2^53 a double clock no longer advances by a unit tick.
   static constexpr Time kMaxEndTime = 0x1p53;
+  /// The horizon rule the constructor enforces (the scenario parser
+  /// applies it too): finite, > 0 and at most kMaxEndTime.
+  static constexpr bool valid_end_time(Time t) noexcept {
+    return t > 0 && t <= kMaxEndTime;
+  }
   /// Simulation horizon: finite, > 0 and at most kMaxEndTime.
   Time end_time = 1000.0;
   std::uint64_t seed = 1;

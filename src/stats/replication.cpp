@@ -212,11 +212,17 @@ ReplicationResult run_replications(const std::vector<std::string>& metric_names,
   if (metric_names.empty()) {
     throw std::invalid_argument("run_replications: no metrics");
   }
-  if (policy.min_replications < 2) {
+  if (!ReplicationPolicy::valid_replication_bound(policy.min_replications)) {
     throw std::invalid_argument("run_replications: min_replications < 2");
   }
-  if (!(std::isfinite(policy.target_half_width) &&
-        policy.target_half_width > 0)) {
+  if (!ReplicationPolicy::valid_replication_bound(policy.max_replications)) {
+    throw std::invalid_argument("run_replications: max_replications < 2");
+  }
+  if (!ReplicationPolicy::valid_confidence(policy.confidence)) {
+    throw std::invalid_argument(
+        "run_replications: confidence must be in (0, 1)");
+  }
+  if (!ReplicationPolicy::valid_half_width(policy.target_half_width)) {
     throw std::invalid_argument(
         "run_replications: target_half_width must be finite and > 0");
   }

@@ -27,6 +27,7 @@
 // discarded (counted in `ReplicationResult::speculative_waste()`).
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -52,6 +53,19 @@ struct ReplicationPolicy {
   /// paired-comparison API (exp::compare_points) turns it on to compute
   /// per-replication differences under common random numbers.
   bool record_observations = false;
+
+  /// Input rules: run_replications rejects a policy that breaks one
+  /// before any replication runs, and the scenario parser applies the
+  /// same rules at the offending line.
+  static bool valid_confidence(double c) noexcept { return c > 0 && c < 1; }
+  static bool valid_half_width(double w) noexcept {
+    return std::isfinite(w) && w > 0;
+  }
+  /// For min_replications and max_replications: a CI needs two samples.
+  /// (max < min is allowed; max is then the cap.)
+  static bool valid_replication_bound(std::size_t n) noexcept {
+    return n >= 2;
+  }
 
   /// The paper's stated statistical target: 95% confidence, < 0.1-wide
   /// interval (0.02 half-width leaves headroom), at least 6 replications.
@@ -255,10 +269,11 @@ std::unique_ptr<ReplicationController> make_controller(
 /// Run replications of `fn` under `controller`, dispatching
 /// controller-sized batches to a caller-owned executor. The result is
 /// bit-identical for every value of executor.jobs(). `fn` is never called
-/// with an index >= policy.max_replications. Throws std::invalid_argument
-/// if metric_names is empty, min_replications < 2 or target_half_width is
-/// not finite and > 0, std::runtime_error if fn returns a vector of the
-/// wrong size.
+/// with an index >= policy.max_replications. Throws std::invalid_argument,
+/// before any replication runs, if metric_names is empty or the policy
+/// breaks a ReplicationPolicy::valid_* rule (min or max_replications
+/// < 2, confidence outside (0, 1), target_half_width not finite and
+/// > 0); std::runtime_error if fn returns a vector of the wrong size.
 ReplicationResult run_replications(const std::vector<std::string>& metric_names,
                                    const StreamedReplicationFn& fn,
                                    ReplicationController& controller,

@@ -74,9 +74,13 @@ TEST(Cli, AlgorithmsVerbUnknownFlagFails) {
 }
 
 TEST(Cli, UnknownFlagFails) {
-  const auto r = run({"--frobnicate"});
-  EXPECT_EQ(r.exit_code, 1);
-  EXPECT_NE(r.err.find("unknown option"), std::string::npos);
+  // The flag that opted out of the system pool is gone with its
+  // build-per-replication path.
+  for (const char* flag : {"--frobnicate", "--rebuild-systems"}) {
+    const auto r = run({flag});
+    EXPECT_EQ(r.exit_code, 1) << flag;
+    EXPECT_NE(r.err.find("unknown option"), std::string::npos) << r.err;
+  }
 }
 
 TEST(Cli, MissingValueFails) {
@@ -106,21 +110,6 @@ TEST(Cli, JobsFlagReproducesSequentialOutput) {
   EXPECT_EQ(sequential.exit_code, 0) << sequential.err;
   EXPECT_EQ(parallel.exit_code, 0) << parallel.err;
   EXPECT_EQ(sequential.out, parallel.out);
-}
-
-TEST(Cli, RebuildSystemsFlagReproducesPooledOutput) {
-  // --rebuild-systems selects the legacy build-per-replication path; the
-  // zero-rebuild default must print byte-identical results.
-  const std::vector<const char*> base = {
-      "--pcpus", "2", "--vm", "1", "--vm", "1", "--end-time", "300",
-      "--warmup", "50", "--max-replications", "4", "--half-width", "1e-9"};
-  auto rebuild = base;
-  rebuild.push_back("--rebuild-systems");
-  const auto pooled = run(base);
-  const auto rebuilt = run(rebuild);
-  EXPECT_EQ(pooled.exit_code, 0) << pooled.err;
-  EXPECT_EQ(rebuilt.exit_code, 0) << rebuilt.err;
-  EXPECT_EQ(pooled.out, rebuilt.out);
 }
 
 TEST(Cli, NegativeJobsFails) {
@@ -160,6 +149,31 @@ TEST(Cli, UnreachableTargetsFail) {
   const auto r = run({"--vm", "2", "--end-time", "1e300"});
   EXPECT_NE(r.exit_code, 0);
   EXPECT_NE(r.err.find("end_time"), std::string::npos) << r.err;
+  // A cap below two replications cannot give a confidence interval: 0
+  // used to print all-zero metrics and 1 a zero half-width.
+  for (const char* cap : {"0", "1"}) {
+    const auto capped = run({"--pcpus", "2", "--vm", "2",
+                             "--max-replications", cap});
+    EXPECT_EQ(capped.exit_code, 1) << cap;
+    EXPECT_NE(capped.err.find("max_replications"), std::string::npos)
+        << capped.err;
+    EXPECT_EQ(capped.out, "") << cap;
+  }
+}
+
+TEST(Cli, LintRejectsBadRunSettingsAtTheirLine) {
+  const std::string path = ::testing::TempDir() + "/vcpusim_bad_run.scn";
+  for (const char* setting : {"half_width = nan", "end_time = 1e300",
+                              "confidence = 2", "max_replications = 0"}) {
+    {
+      std::ofstream file(path);
+      file << "pcpus = 2\n" << setting << "\n[vm]\nvcpus = 2\n";
+    }
+    const auto r = run({"lint", path.c_str()});
+    EXPECT_EQ(r.exit_code, 1) << setting;
+    EXPECT_NE(r.err.find("line 2: "), std::string::npos) << r.err;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(Cli, CsvOutput) {

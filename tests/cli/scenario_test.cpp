@@ -45,7 +45,6 @@ half_width = 0.01
 min_replications = 4
 max_replications = 16
 jobs = 4
-reuse_systems = off
 metrics = vcpu_utilization, pcpu_utilization, throughput
 
 [vm web]
@@ -67,7 +66,6 @@ spinlock = 0.5 0.3
   EXPECT_DOUBLE_EQ(s.spec.policy.confidence, 0.99);
   EXPECT_EQ(s.spec.policy.max_replications, 16u);
   EXPECT_EQ(s.spec.jobs, 4u);
-  EXPECT_FALSE(s.spec.reuse_systems);
   EXPECT_EQ(s.metrics.size(), 3u);
   EXPECT_EQ(s.metrics[0].kind, exp::MetricKind::kMeanVcpuUtilization);
 
@@ -106,6 +104,14 @@ TEST(Scenario, ErrorsCarryLineNumbers) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("bogus_key"), std::string::npos);
   }
+  // The key that opted out of the system pool is gone with its
+  // build-per-replication path.
+  try {
+    parse("pcpus = 2\nreuse_systems = off\n[vm]\nvcpus = 1\n");
+    FAIL() << "expected throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "line 2: unknown key 'reuse_systems'");
+  }
 }
 
 TEST(Scenario, RejectsMalformedInput) {
@@ -128,6 +134,23 @@ TEST(Scenario, RejectsMalformedInput) {
         "max_replications = 1e300\n[vm]\nvcpus = 1\n",
         "[vm]\nvcpus = 2.5\n", "[vm]\nvcpus = 1\nsync_ratio = -2\n"}) {
     EXPECT_THROW(parse(text), std::invalid_argument) << text;
+  }
+  // Run settings are held to the runtime's rules (the Simulator's
+  // horizon, the replication policy's) at their own line, not when the
+  // run starts.
+  for (const char* setting :
+       {"half_width = nan", "half_width = inf", "half_width = 0",
+        "half_width = -0.1", "end_time = 1e300", "end_time = inf",
+        "end_time = nan", "end_time = 0", "confidence = 2",
+        "confidence = 1", "confidence = 0", "confidence = nan",
+        "max_replications = 0", "max_replications = 1",
+        "min_replications = 1"}) {
+    try {
+      parse(std::string("pcpus = 2\n") + setting + "\n[vm]\nvcpus = 1\n");
+      ADD_FAILURE() << "expected throw: " << setting;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("line 2: ", 0), 0u) << e.what();
+    }
   }
 }
 

@@ -117,6 +117,44 @@ TEST(Replication, RejectsMinBelowTwo) {
                                 },
                                 policy),
                std::invalid_argument);
+  // The cap obeys the same bound: 0 would report an empty run and 1 a
+  // zero half-width from one sample. Both fail before any replication.
+  // (max < min stays legal: max is then the cap.)
+  for (const std::size_t max : {0, 1}) {
+    ReplicationPolicy capped;
+    capped.max_replications = max;
+    std::size_t calls = 0;
+    EXPECT_THROW(run_replications({"m"},
+                                  [&calls](std::size_t) {
+                                    ++calls;
+                                    return std::vector<double>{1.0};
+                                  },
+                                  capped),
+                 std::invalid_argument)
+        << max;
+    EXPECT_EQ(calls, 0u) << max;
+  }
+}
+
+TEST(Replication, RejectsConfidenceOutsideUnitInterval) {
+  // Checked up front: a bad level used to surface only after the first
+  // batch had run, when the t quantile was first taken.
+  for (const double confidence :
+       {0.0, 1.0, 2.0, -0.5, std::nan(""),
+        std::numeric_limits<double>::infinity()}) {
+    ReplicationPolicy policy;
+    policy.confidence = confidence;
+    std::size_t calls = 0;
+    EXPECT_THROW(run_replications({"m"},
+                                  [&calls](std::size_t) {
+                                    ++calls;
+                                    return std::vector<double>{1.0};
+                                  },
+                                  policy),
+                 std::invalid_argument)
+        << confidence;
+    EXPECT_EQ(calls, 0u) << confidence;
+  }
 }
 
 TEST(Replication, RejectsNonPositiveOrNonFiniteHalfWidth) {

@@ -91,7 +91,10 @@ BENCHMARK(BM_VirtualSystemScale)->Arg(2)->Arg(4)->Arg(8)->Arg(16)
 /// Simulator::reset(seed)) — the same steady state the exp::SystemPool
 /// runs in, so model construction and compilation are not in the
 /// measured loop. CI publishes the matrix as BENCH_kernel.json and
-/// gates compiled >= 2x object at 64 VCPUs (see the perf-smoke job).
+/// gates compiled >= 2x object at 64 VCPUs and, for rrs and credit,
+/// compiled events/s at 256 VCPUs >= 0.65x that at 16 VCPUs (the
+/// per-event kernel cost must not grow with the model; see the
+/// perf-smoke job).
 /// enabling_evals_per_event is the tell-tale for the Scheduling_Func
 /// gate's dynamic write footprint: it stays roughly flat as the system
 /// grows, whereas a full enabling rescan on every scheduler tick would
@@ -130,7 +133,8 @@ void BM_SchedulerTick(benchmark::State& state,
 }
 BENCHMARK_CAPTURE(BM_SchedulerTick, rrs, std::string("rrs"))
     ->Args({4, 0})->Args({4, 1})->Args({16, 0})->Args({16, 1})
-    ->Args({64, 0})->Args({64, 1})->Unit(benchmark::kMillisecond);
+    ->Args({64, 0})->Args({64, 1})->Args({256, 1})
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_SchedulerTick, scs, std::string("scs"))
     ->Args({4, 0})->Args({4, 1})->Args({16, 0})->Args({16, 1})
     ->Args({64, 0})->Args({64, 1})->Unit(benchmark::kMillisecond);
@@ -139,7 +143,8 @@ BENCHMARK_CAPTURE(BM_SchedulerTick, rcs, std::string("rcs"))
     ->Args({64, 0})->Args({64, 1})->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_SchedulerTick, credit, std::string("credit"))
     ->Args({4, 0})->Args({4, 1})->Args({16, 0})->Args({16, 1})
-    ->Args({64, 0})->Args({64, 1})->Unit(benchmark::kMillisecond);
+    ->Args({64, 0})->Args({64, 1})->Args({256, 1})
+    ->Unit(benchmark::kMillisecond);
 
 /// Where scheduler-tick time actually goes: the same workload as
 /// BM_SchedulerTick with phase profiling enabled, publishing per-phase

@@ -28,6 +28,11 @@ void RewardVariable::add_impulse(const Activity* activity,
     throw std::invalid_argument("RewardVariable '" + name_ +
                                 "': null impulse activity or function");
   }
+  if (impulses_sealed_) {
+    throw std::logic_error("RewardVariable '" + name_ +
+                           "': add_impulse after the reward was registered "
+                           "with a simulator");
+  }
   impulses_.push_back(Impulse{activity, std::move(impulse_fn)});
 }
 
@@ -42,21 +47,6 @@ void RewardVariable::on_advance(Time from, Time to) {
   const Time lo = std::max(from, start_time_);
   if (to <= lo) return;
   accumulated_ += rate_fn_() * (to - lo);
-}
-
-void RewardVariable::on_completion(const Activity& activity, Time now) {
-  for (const auto& imp : impulses_) {
-    if (imp.activity == &activity) {
-      // The impulse function is evaluated even before start_time so that
-      // stateful (delta-style) impulse functions observe every
-      // completion; only the reward earned after start_time accrues.
-      const double value = imp.fn();
-      if (now >= start_time_) {
-        accumulated_ += value;
-        ++impulse_events_;
-      }
-    }
-  }
 }
 
 }  // namespace vcpusim::san

@@ -31,7 +31,17 @@ class RewardVariable {
   Time start_time() const noexcept { return start_time_; }
 
   /// Earn `impulse_fn()` whenever `activity` completes (after start_time).
+  /// Impulses are fixed once the reward is registered with a simulator
+  /// (Simulator::add_reward indexes them by activity); adding one after
+  /// that throws std::logic_error.
   void add_impulse(const Activity* activity, std::function<double()> impulse_fn);
+
+  struct Impulse {
+    const Activity* activity;
+    std::function<double()> fn;
+  };
+  /// Registered impulses, in add_impulse order.
+  const std::vector<Impulse>& impulses() const noexcept { return impulses_; }
 
   /// Total reward accumulated so far.
   double accumulated() const noexcept { return accumulated_; }
@@ -61,10 +71,21 @@ class RewardVariable {
   /// Accrue rate reward for the dwell interval [from, to) in the current
   /// (pre-event) marking.
   void on_advance(Time from, Time to);
-  /// Accrue impulse reward for a completion of `activity` at time `now`.
-  void on_completion(const Activity& activity, Time now);
+  /// Accrue impulse `i` for a completion of its activity at time `now`.
+  /// The impulse function is evaluated even before start_time so that
+  /// stateful (delta-style) impulse functions observe every completion;
+  /// only the reward earned after start_time accrues.
+  void on_impulse(std::size_t i, Time now) {
+    const double value = impulses_[i].fn();
+    if (now >= start_time_) {
+      accumulated_ += value;
+      ++impulse_events_;
+    }
+  }
 
  private:
+  friend class Simulator;  // seals the impulses on add_reward
+
   explicit RewardVariable(std::string name, Time start_time);
 
   std::string name_;
@@ -72,11 +93,7 @@ class RewardVariable {
   Time start_time_;
   double accumulated_ = 0.0;
   std::size_t impulse_events_ = 0;
-
-  struct Impulse {
-    const Activity* activity;
-    std::function<double()> fn;
-  };
+  bool impulses_sealed_ = false;
   std::vector<Impulse> impulses_;
   std::vector<std::function<void()>> reset_hooks_;
 };

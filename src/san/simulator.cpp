@@ -1,11 +1,8 @@
 #include "san/simulator.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 #include <unordered_map>
-#include <cstdio>
-#include <cstdlib>
 
 #include "san/analyze/invariants.hpp"
 
@@ -87,7 +84,6 @@ void Simulator::set_model(ComposedModel& model) {
   timed_marked_.assign(activities_.size(), 0);
   inst_marked_.assign(instantaneous_.size(), 0);
   inst_enabled_.assign(instantaneous_.size(), 0);
-  inst_enabled_count_ = 0;
   if (config_.engine == Engine::kCompiled) {
     compile_profile_.set_enabled(config_.profile);
     stats::ScopedPhaseTimer timer(&compile_profile_, stats::Phase::kCompile);
@@ -125,10 +121,10 @@ void Simulator::set_model(ComposedModel& model) {
     for (std::uint32_t pos = 0; pos < inst_prio_order_.size(); ++pos) {
       inst_prio_pos_[inst_prio_order_[pos]] = pos;
     }
-    inst_enabled_bits_.assign((instantaneous_.size() + 63) / 64, 0);
+    inst_enabled_bits_.assign(instantaneous_.size());
   } else {
     timed_hot_.clear();
-    inst_enabled_bits_.clear();
+    inst_enabled_bits_.assign(0);
     inst_prio_order_.clear();
     inst_prio_pos_.clear();
   }
@@ -137,87 +133,73 @@ void Simulator::set_model(ComposedModel& model) {
   if (compiled_ != nullptr && use_incremental_) build_touch_lookup();
   fast_dirty_ = compiled_ != nullptr && use_incremental_ &&
                 !config_.verify_footprints;
-  fast_inst_ = false;
-  if (fast_dirty_) build_fired_masks();
-  if (std::getenv("VCPUSIM_DEBUG_INDEX") != nullptr) {
-    std::fprintf(stderr, "timed=%zu inst=%zu always_timed=%zu always_inst=%zu places=%zu\n",
-                 activities_.size(), instantaneous_.size(),
-                 always_timed_.size(), always_inst_.size(), place_deps_.size());
-  }
+  if (fast_dirty_) build_dep_runs();
+  build_impulse_index();
 }
 
-void Simulator::build_fired_masks() {
-  mask_words_ = (activities_.size() + 63) / 64;
-  timed_mask_.assign(mask_words_, 0);
-  always_timed_mask_.assign(mask_words_, 0);
-  for (const std::uint32_t t : always_timed_) {
-    always_timed_mask_[t >> 6] |= std::uint64_t{1} << (t & 63);
-  }
-  place_timed_masks_.assign(place_deps_.size() * mask_words_, 0);
-  for (std::size_t p = 0; p < place_deps_.size(); ++p) {
-    std::uint64_t* mask = place_timed_masks_.data() + p * mask_words_;
-    for (const std::uint32_t t : place_deps_[p].timed) {
-      mask[t >> 6] |= std::uint64_t{1} << (t & 63);
-    }
-  }
-  std::vector<std::uint8_t> seen(instantaneous_.size(), 0);
-  const auto build_for = [&](bool timed, std::size_t count,
-                             std::vector<std::uint64_t>& masks,
-                             std::vector<std::vector<std::uint32_t>>& insts) {
-    masks.assign(count * mask_words_, 0);
-    insts.assign(count, {});
-    for (std::uint32_t i = 0; i < count; ++i) {
-      std::uint64_t* mask = masks.data() + std::size_t{i} * mask_words_;
-      auto& inst_list = insts[i];
-      std::fill(seen.begin(), seen.end(), std::uint8_t{0});
-      const auto add_inst = [&](std::uint32_t j) {
-        if (seen[j] == 0) {
-          seen[j] = 1;
-          inst_list.push_back(j);
-        }
-      };
-      // The fired activity itself always gets a fresh look.
-      if (timed) {
-        mask[i >> 6] |= std::uint64_t{1} << (i & 63);
-      } else {
-        add_inst(i);
+void Simulator::build_dep_runs() {
+  dep_runs_.clear();
+  timed_dirty_.assign(activities_.size());
+  inst_dirty_.assign(instantaneous_.size());
+  // Dependent ids are gathered into these scratch lists and packed into
+  // runs: sorted, one run per non-zero 64-bit word, duplicates folded.
+  std::vector<std::uint32_t> timed_ids;
+  std::vector<std::uint32_t> inst_ids;
+  const auto pack = [](std::vector<std::uint32_t>& ids,
+                       std::vector<MaskRun>& out) {
+    std::sort(ids.begin(), ids.end());
+    for (std::size_t k = 0; k < ids.size();) {
+      const std::uint32_t word = ids[k] >> 6;
+      std::uint64_t bits = 0;
+      for (; k < ids.size() && (ids[k] >> 6) == word; ++k) {
+        bits |= std::uint64_t{1} << (ids[k] & 63);
       }
-      for (const std::uint32_t place :
-           timed ? timed_writes_[i] : inst_writes_[i]) {
-        const std::uint64_t* pm =
-            place_timed_masks_.data() + std::size_t{place} * mask_words_;
-        for (std::size_t w = 0; w < mask_words_; ++w) mask[w] |= pm[w];
-        for (const std::uint32_t j : place_deps_[place].inst) add_inst(j);
-      }
+      out.push_back(MaskRun{bits, word});
     }
+    ids.clear();
   };
-  build_for(true, activities_.size(), timed_fired_masks_, timed_fired_inst_);
-  build_for(false, instantaneous_.size(), inst_fired_masks_, inst_fired_inst_);
+  const auto span_of_ids = [&] {
+    DepSpan span;
+    span.begin = static_cast<std::uint32_t>(dep_runs_.size());
+    pack(timed_ids, dep_runs_);
+    span.split = static_cast<std::uint32_t>(dep_runs_.size());
+    pack(inst_ids, dep_runs_);
+    span.end = static_cast<std::uint32_t>(dep_runs_.size());
+    return span;
+  };
+  const auto add_place = [&](std::uint32_t place) {
+    const PlaceDeps& deps = place_deps_[place];
+    timed_ids.insert(timed_ids.end(), deps.timed.begin(), deps.timed.end());
+    inst_ids.insert(inst_ids.end(), deps.inst.begin(), deps.inst.end());
+  };
 
-  fast_inst_ = always_inst_.empty();
-  if (fast_inst_) {
-    inst_mask_words_ = (instantaneous_.size() + 63) / 64;
-    inst_mask_.assign(inst_mask_words_, 0);
-    place_inst_masks_.assign(place_deps_.size() * inst_mask_words_, 0);
-    for (std::size_t p = 0; p < place_deps_.size(); ++p) {
-      std::uint64_t* mask = place_inst_masks_.data() + p * inst_mask_words_;
-      for (const std::uint32_t j : place_deps_[p].inst) {
-        mask[j >> 6] |= std::uint64_t{1} << (j & 63);
-      }
-    }
-    const auto pack = [&](const std::vector<std::vector<std::uint32_t>>& lists,
-                          std::vector<std::uint64_t>& masks) {
-      masks.assign(lists.size() * inst_mask_words_, 0);
-      for (std::size_t i = 0; i < lists.size(); ++i) {
-        std::uint64_t* mask = masks.data() + i * inst_mask_words_;
-        for (const std::uint32_t j : lists[i]) {
-          mask[j >> 6] |= std::uint64_t{1} << (j & 63);
-        }
-      }
-    };
-    pack(timed_fired_inst_, timed_fired_inst_masks_);
-    pack(inst_fired_inst_, inst_fired_inst_masks_);
+  place_spans_.clear();
+  place_spans_.reserve(place_deps_.size());
+  for (std::uint32_t p = 0; p < place_deps_.size(); ++p) {
+    add_place(p);
+    place_spans_.push_back(span_of_ids());
   }
+  fired_deps_.clear();
+  fired_deps_.reserve(activities_.size() + instantaneous_.size());
+  for (std::uint32_t t = 0; t < activities_.size(); ++t) {
+    timed_ids.push_back(t);  // the fired activity always gets a fresh look
+    for (const std::uint32_t place : timed_writes_[t]) add_place(place);
+    DepSpan span = span_of_ids();
+    span.writes_declared = timed_writes_declared_[t];
+    span.dynamic = timed_dynamic_[t];
+    fired_deps_.push_back(span);
+  }
+  for (std::uint32_t j = 0; j < instantaneous_.size(); ++j) {
+    inst_ids.push_back(j);
+    for (const std::uint32_t place : inst_writes_[j]) add_place(place);
+    DepSpan span = span_of_ids();
+    span.writes_declared = inst_writes_declared_[j];
+    span.dynamic = inst_dynamic_[j];
+    fired_deps_.push_back(span);
+  }
+  always_timed_runs_.clear();
+  timed_ids = always_timed_;
+  pack(timed_ids, always_timed_runs_);
 }
 
 void Simulator::build_touch_lookup() {
@@ -351,6 +333,35 @@ void Simulator::build_trace_write_lists() {
 
 void Simulator::add_reward(RewardVariable& reward) {
   rewards_.push_back(&reward);
+  reward.impulses_sealed_ = true;
+  if (!reward.impulses().empty()) build_impulse_index();
+}
+
+void Simulator::build_impulse_index() {
+  impulse_begin_.clear();
+  impulse_refs_.clear();
+  std::unordered_map<const Activity*, std::vector<ImpulseRef>> by_activity;
+  for (RewardVariable* r : rewards_) {
+    const auto& impulses = r->impulses();
+    for (std::uint32_t i = 0; i < impulses.size(); ++i) {
+      by_activity[impulses[i].activity].push_back(ImpulseRef{r, i});
+    }
+  }
+  if (model_ == nullptr || by_activity.empty()) return;
+  // Impulses on activities outside the model never fire: they simply
+  // find no slot here.
+  impulse_begin_.reserve(activities_.size() + instantaneous_.size() + 1);
+  const auto add_slot = [&](const Activity* a) {
+    impulse_begin_.push_back(static_cast<std::uint32_t>(impulse_refs_.size()));
+    const auto it = by_activity.find(a);
+    if (it != by_activity.end()) {
+      impulse_refs_.insert(impulse_refs_.end(), it->second.begin(),
+                           it->second.end());
+    }
+  };
+  for (const Activity* a : activities_) add_slot(a);
+  for (const Activity* a : instantaneous_) add_slot(a);
+  impulse_begin_.push_back(static_cast<std::uint32_t>(impulse_refs_.size()));
 }
 
 void Simulator::advance_time(Time to) {
@@ -436,31 +447,16 @@ void Simulator::mark_place(std::uint32_t place_id) {
 void Simulator::mark_fired(bool timed, std::uint32_t index) {
   if (!use_incremental_ || dirty_all_) return;
   if (fast_dirty_) {
-    if ((timed ? timed_writes_declared_[index]
-               : inst_writes_declared_[index]) == 0) {
+    const DepSpan& deps =
+        fired_deps_[timed ? index : activities_.size() + index];
+    if (deps.writes_declared == 0) {
       dirty_all_ = true;  // unknown write set: rescan everything
       return;
     }
-    // Precompiled dependents: one mask OR per side replaces the
-    // per-place dependency loops of the vector path.
-    const std::uint64_t* mask =
-        (timed ? timed_fired_masks_ : inst_fired_masks_).data() +
-        std::size_t{index} * mask_words_;
-    for (std::size_t w = 0; w < mask_words_; ++w) timed_mask_[w] |= mask[w];
-    if (fast_inst_) {
-      const std::uint64_t* im =
-          (timed ? timed_fired_inst_masks_ : inst_fired_inst_masks_).data() +
-          std::size_t{index} * inst_mask_words_;
-      for (std::size_t w = 0; w < inst_mask_words_; ++w) {
-        inst_mask_[w] |= im[w];
-      }
-    } else {
-      for (const std::uint32_t j :
-           (timed ? timed_fired_inst_ : inst_fired_inst_)[index]) {
-        mark_inst(j);
-      }
-    }
-    if ((timed ? timed_dynamic_[index] : inst_dynamic_[index]) != 0) {
+    // Precompiled dependents: a few run ORs replace the per-place
+    // dependency loops of the vector path.
+    mark_span(deps);
+    if (deps.dynamic != 0) {
       for (const PlaceBase* p : touched_) {
         const std::uint32_t cid = p->compiled_id();
         std::uint32_t id = kNoPlaceId;
@@ -470,19 +466,7 @@ void Simulator::mark_fired(bool timed, std::uint32_t index) {
           const auto it = place_ids_.find(p);
           if (it != place_ids_.end()) id = it->second;
         }
-        if (id == kNoPlaceId) continue;
-        const std::uint64_t* pm =
-            place_timed_masks_.data() + std::size_t{id} * mask_words_;
-        for (std::size_t w = 0; w < mask_words_; ++w) timed_mask_[w] |= pm[w];
-        if (fast_inst_) {
-          const std::uint64_t* im =
-              place_inst_masks_.data() + std::size_t{id} * inst_mask_words_;
-          for (std::size_t w = 0; w < inst_mask_words_; ++w) {
-            inst_mask_[w] |= im[w];
-          }
-        } else {
-          for (const std::uint32_t j : place_deps_[id].inst) mark_inst(j);
-        }
+        if (id != kNoPlaceId) mark_span(place_spans_[id]);
       }
     }
     return;
@@ -523,10 +507,10 @@ void Simulator::mark_fired(bool timed, std::uint32_t index) {
 
 void Simulator::clear_dirty() {
   if (fast_dirty_ && dirty_all_) {
-    // The bit-scan path zeroes words as it consumes them; only a full
-    // rescan can leave stale bits behind.
-    std::fill(timed_mask_.begin(), timed_mask_.end(), 0);
-    std::fill(inst_mask_.begin(), inst_mask_.end(), 0);
+    // The drain zeroes words as it consumes them; only a full rescan
+    // can leave stale bits behind.
+    timed_dirty_.clear();
+    inst_dirty_.clear();
   }
   for (const std::uint32_t t : dirty_timed_) timed_marked_[t] = 0;
   for (const std::uint32_t j : dirty_inst_) inst_marked_[j] = 0;
@@ -561,7 +545,13 @@ void Simulator::complete(Activity& activity, bool timed,
                 *(timed ? timed_compiled_[index] : inst_compiled_[index]), ctx)
           : activity.fire(ctx);
   if (sanitizer_ != nullptr) sanitizer_->end_firing();
-  for (RewardVariable* r : rewards_) r->on_completion(activity, now_);
+  if (!impulse_begin_.empty()) {
+    const std::size_t slot = timed ? index : activities_.size() + index;
+    for (std::uint32_t k = impulse_begin_[slot]; k < impulse_begin_[slot + 1];
+         ++k) {
+      impulse_refs_[k].reward->on_impulse(impulse_refs_[k].impulse, now_);
+    }
+  }
   if (trace_ == nullptr) return;
   if (trace_->wants(TraceCategory::kFire)) {
     trace_->on_event(TraceEvent{TraceCategory::kFire, now_, seq,
@@ -597,43 +587,19 @@ void Simulator::settle() {
       enabling_evals_ += activities_.size() + instantaneous_.size();
       if (use_incremental_) clear_dirty();
     } else if (fast_dirty_) {
-      // Bit-scan: ascending set bits of (dirty | always) — the same
-      // activity sequence the vector merge below produces, without the
-      // sort, the merge branches, or the marked-flag bookkeeping.
-      for (std::size_t w = 0; w < mask_words_; ++w) {
-        std::uint64_t bits = timed_mask_[w] | always_timed_mask_[w];
-        timed_mask_[w] = 0;
-        enabling_evals_ += static_cast<std::uint64_t>(std::popcount(bits));
-        const std::uint32_t base = static_cast<std::uint32_t>(w) * 64;
-        while (bits != 0) {
-          const std::uint32_t t =
-              base + static_cast<std::uint32_t>(std::countr_zero(bits));
-          bits &= bits - 1;
-          transition_timed(t);
-        }
+      // Drain ascending set bits of (dirty | always) — the same activity
+      // sequence the vector merge below produces, without the sort, the
+      // merge branches, or the marked-flag bookkeeping.
+      timed_dirty_.mark(always_timed_runs_.data(),
+                        always_timed_runs_.data() + always_timed_runs_.size());
+      enabling_evals_ += timed_dirty_.drain(
+          [this](std::uint32_t t) { transition_timed(t); });
+      enabling_evals_ += inst_dirty_.drain(
+          [this](std::uint32_t j) { set_inst_enabled(j, eval_inst(j)); });
+      for (const std::uint32_t j : always_inst_) {
+        set_inst_enabled(j, eval_inst(j));
       }
-      if (fast_inst_) {
-        for (std::size_t w = 0; w < inst_mask_words_; ++w) {
-          std::uint64_t bits = inst_mask_[w];
-          inst_mask_[w] = 0;
-          enabling_evals_ += static_cast<std::uint64_t>(std::popcount(bits));
-          const std::uint32_t base = static_cast<std::uint32_t>(w) * 64;
-          while (bits != 0) {
-            const std::uint32_t j =
-                base + static_cast<std::uint32_t>(std::countr_zero(bits));
-            bits &= bits - 1;
-            set_inst_enabled(j, eval_inst(j));
-          }
-        }
-      } else {
-        for (const std::uint32_t j : dirty_inst_) {
-          set_inst_enabled(j, eval_inst(j));
-        }
-        for (const std::uint32_t j : always_inst_) {
-          set_inst_enabled(j, eval_inst(j));
-        }
-        enabling_evals_ += dirty_inst_.size() + always_inst_.size();
-      }
+      enabling_evals_ += always_inst_.size();
       clear_dirty();
     } else {
       // Incremental: only activities whose read set intersects the places
@@ -672,27 +638,19 @@ void Simulator::settle() {
     }
     // Fire the highest-priority enabled instantaneous activity, if any
     // (cached flags; ties resolve to the lowest index, as the full
-    // predicate scan always did). The compiled engine maintains an
-    // enabled count and skips the scan in the common nothing-enabled
-    // round — behaviorally identical, the object engine just keeps the
-    // scan as the reference cost.
+    // predicate scan always did). The object engine keeps the scan as
+    // the reference cost.
     Activity* next = nullptr;
     std::uint32_t next_index = 0;
     if (compiled_ != nullptr) {
-      if (inst_enabled_count_ == 0) return;
-      // First set bit of the priority-ordered enabled mask: identical
+      // First set bit of the priority-ordered enabled set: identical
       // winner to the reference scan (max priority, lowest index on
-      // ties) without walking every instantaneous activity.
-      for (std::size_t w = 0; w < inst_enabled_bits_.size(); ++w) {
-        if (inst_enabled_bits_[w] != 0) {
-          const auto pos = static_cast<std::uint32_t>(
-              w * 64 +
-              static_cast<std::size_t>(std::countr_zero(inst_enabled_bits_[w])));
-          next_index = inst_prio_order_[pos];
-          next = instantaneous_[next_index];
-          break;
-        }
-      }
+      // ties), found through the summary word without walking every
+      // instantaneous activity.
+      const std::uint32_t pos = inst_enabled_bits_.first();
+      if (pos == SummaryBits::kNone) return;
+      next_index = inst_prio_order_[pos];
+      next = instantaneous_[next_index];
     } else {
       for (std::uint32_t j = 0; j < instantaneous_.size(); ++j) {
         if (!inst_enabled_[j]) continue;

@@ -25,10 +25,12 @@
 //    dirty them. See docs/PERFORMANCE.md.
 //
 // Rate rewards are accrued over each dwell interval before the marking
-// changes; impulse rewards on each completion.
+// changes; impulse rewards on each completion, dispatched through a
+// per-activity index so a completion visits only its own impulses.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <string_view>
 #include <type_traits>
@@ -128,12 +130,18 @@ class Simulator {
   /// or reset() starts from the new model's initial marking).
   void set_model(ComposedModel& model);
 
-  /// Register a reward variable (reset at the start of run()).
+  /// Register a reward variable (reset at the start of run()). Its
+  /// impulses are indexed by activity here, so they are fixed from now
+  /// on: a later RewardVariable::add_impulse throws.
   void add_reward(RewardVariable& reward);
 
   /// Drop every registered reward variable (metric bindings are rebuilt
   /// from scratch when a pooled system is rebound to a new run).
-  void clear_rewards() noexcept { rewards_.clear(); }
+  void clear_rewards() noexcept {
+    rewards_.clear();
+    impulse_begin_.clear();
+    impulse_refs_.clear();
+  }
 
   /// Attach (or with nullptr detach) the structured trace sink. With no
   /// sink attached every emission site costs one null-pointer test —
@@ -393,6 +401,103 @@ class Simulator {
     std::vector<std::uint32_t> timed;
     std::vector<std::uint32_t> inst;
   };
+  /// One non-zero word of a dependent bitmask. A dependent set is stored
+  /// as its runs only, so marking it costs its non-zero words, not the
+  /// model's activity count.
+  struct MaskRun {
+    std::uint64_t bits;
+    std::uint32_t word;
+  };
+  /// The dependents of a fired activity or a touched place, as runs in
+  /// dep_runs_: [begin, split) mark timed activities, [split, end)
+  /// instantaneous ones. A fired activity's record also carries the two
+  /// write-set flags mark_fired branches on, so one 16-byte load serves
+  /// the whole marking.
+  struct DepSpan {
+    std::uint32_t begin = 0;
+    std::uint32_t split = 0;
+    std::uint32_t end = 0;
+    std::uint8_t writes_declared = 1;
+    std::uint8_t dynamic = 0;
+  };
+  /// Bitset plus a summary word with one bit per non-zero word. Marking
+  /// and draining visit only non-zero words, still in ascending order,
+  /// so a scan reports exactly the bits (and the order) a dense scan
+  /// over every word would.
+  class SummaryBits {
+   public:
+    static constexpr std::uint32_t kNone = 0xffff'ffffu;
+
+    void assign(std::size_t bit_count) {
+      words_.assign((bit_count + 63) / 64, 0);
+      summary_.assign((words_.size() + 63) / 64, 0);
+    }
+    void clear() {
+      std::fill(words_.begin(), words_.end(), 0);
+      std::fill(summary_.begin(), summary_.end(), 0);
+    }
+    void set(std::uint32_t i) {
+      words_[i >> 6] |= std::uint64_t{1} << (i & 63);
+      summary_[i >> 12] |= std::uint64_t{1} << ((i >> 6) & 63);
+    }
+    void reset(std::uint32_t i) {
+      const std::uint32_t w = i >> 6;
+      words_[w] &= ~(std::uint64_t{1} << (i & 63));
+      if (words_[w] == 0) summary_[w >> 6] &= ~(std::uint64_t{1} << (w & 63));
+    }
+    /// OR the runs [first, last) in.
+    void mark(const MaskRun* first, const MaskRun* last) {
+      for (; first != last; ++first) {
+        words_[first->word] |= first->bits;
+        summary_[first->word >> 6] |= std::uint64_t{1} << (first->word & 63);
+      }
+    }
+    /// Lowest set bit, or kNone.
+    std::uint32_t first() const {
+      for (std::size_t s = 0; s < summary_.size(); ++s) {
+        if (summary_[s] == 0) continue;
+        const std::size_t w =
+            s * 64 + static_cast<std::size_t>(std::countr_zero(summary_[s]));
+        return static_cast<std::uint32_t>(
+            w * 64 + static_cast<std::size_t>(std::countr_zero(words_[w])));
+      }
+      return kNone;
+    }
+    /// Call visit(i) for every set bit in ascending order, clearing the
+    /// set as it goes; returns the number of bits visited. visit must not
+    /// mark this set.
+    template <class Visit>
+    std::uint64_t drain(Visit&& visit) {
+      std::uint64_t count = 0;
+      for (std::size_t s = 0; s < summary_.size(); ++s) {
+        std::uint64_t live = summary_[s];
+        summary_[s] = 0;
+        while (live != 0) {
+          const std::size_t w =
+              s * 64 + static_cast<std::size_t>(std::countr_zero(live));
+          live &= live - 1;
+          std::uint64_t bits = words_[w];
+          words_[w] = 0;
+          count += static_cast<std::uint64_t>(std::popcount(bits));
+          const auto base = static_cast<std::uint32_t>(w * 64);
+          while (bits != 0) {
+            visit(base + static_cast<std::uint32_t>(std::countr_zero(bits)));
+            bits &= bits - 1;
+          }
+        }
+      }
+      return count;
+    }
+
+   private:
+    std::vector<std::uint64_t> words_;
+    std::vector<std::uint64_t> summary_;  ///< bit w: words_[w] != 0
+  };
+  /// One impulse of a registered reward, filed under its activity.
+  struct ImpulseRef {
+    RewardVariable* reward;
+    std::uint32_t impulse;  ///< index into reward->impulses()
+  };
 
   void build_dependency_index();
   void build_touch_lookup();
@@ -436,20 +541,18 @@ class Simulator {
       activities_[timed_index]->cancel_activation();
     }
   }
-  /// Update one cached instantaneous-enabling flag, maintaining the
-  /// enabled count the compiled settle loop uses to skip the selection
-  /// scan when nothing is enabled.
+  /// Update one cached instantaneous-enabling flag (and, on the
+  /// compiled engine, its bit in the priority-ordered enabled set).
   void set_inst_enabled(std::uint32_t inst_index, bool enabled) {
     const std::uint8_t v = enabled ? 1 : 0;
     if (inst_enabled_[inst_index] != v) {
       inst_enabled_[inst_index] = v;
-      inst_enabled_count_ += enabled ? 1 : -1;
       if (!inst_prio_pos_.empty()) {
         const std::uint32_t pos = inst_prio_pos_[inst_index];
         if (enabled) {
-          inst_enabled_bits_[pos >> 6] |= std::uint64_t{1} << (pos & 63);
+          inst_enabled_bits_.set(pos);
         } else {
-          inst_enabled_bits_[pos >> 6] &= ~(std::uint64_t{1} << (pos & 63));
+          inst_enabled_bits_.reset(pos);
         }
       }
     }
@@ -470,9 +573,18 @@ class Simulator {
   void transition_timed(std::uint32_t timed_index);
   /// Record the marking changes of a completed activity in the dirty set.
   void mark_fired(bool timed, std::uint32_t index);
-  /// Precompute the per-activity dependent masks / lists for the
-  /// compiled engine's bitmask dirty tracking (from the enabling index).
-  void build_fired_masks();
+  /// Precompute the sparse dependent runs of every activity and place
+  /// for the compiled engine's bitmask dirty tracking (from the enabling
+  /// index).
+  void build_dep_runs();
+  void mark_span(const DepSpan& span) {
+    const MaskRun* runs = dep_runs_.data();
+    timed_dirty_.mark(runs + span.begin, runs + span.split);
+    inst_dirty_.mark(runs + span.split, runs + span.end);
+  }
+  /// File every registered impulse under its activity (rebuilt when the
+  /// model or the reward set changes, never per replication).
+  void build_impulse_index();
   void mark_place(std::uint32_t place_id);
   void mark_timed(std::uint32_t timed_index);
   void mark_inst(std::uint32_t inst_index);
@@ -497,39 +609,29 @@ class Simulator {
   /// places no gate reads); replaces the hash probe on touch() reports.
   static constexpr std::uint32_t kNoPlaceId = 0xffff'ffffu;
   std::vector<std::uint32_t> touch_lookup_;
-  std::int64_t inst_enabled_count_ = 0;
-  /// Bitmask dirty tracking (compiled engine, incremental enabling, not
-  /// sanitizing): one bit per timed activity. Firing ORs the activity's
-  /// precompiled dependent mask into `timed_mask_` instead of walking
-  /// per-place dependency vectors, and the settle loop scans set bits of
-  /// (dirty | always) — ascending, the exact order the vector merge
-  /// produced, so trajectories and eval counts are bit-identical. Off
-  /// under the sanitizer, which observes closure evaluation directly.
+  /// Sparse dirty tracking (compiled engine, incremental enabling, not
+  /// sanitizing): one bit per activity. Firing ORs the activity's
+  /// precompiled dependent runs into the dirty sets instead of walking
+  /// per-place dependency vectors, and the settle loop drains the set
+  /// bits in ascending order — the exact order the vector merge
+  /// produced, so trajectories and eval counts are bit-identical.
+  /// Instantaneous evaluations are pure predicate reads (no RNG, no
+  /// trace), so their ascending order is interchangeable with the vector
+  /// path's insertion order. Off under the sanitizer, which observes
+  /// closure evaluation directly.
   bool fast_dirty_ = false;
-  std::size_t mask_words_ = 0;
-  std::vector<std::uint64_t> timed_mask_;         ///< dirty bits, zeroed per round
-  std::vector<std::uint64_t> always_timed_mask_;  ///< opaque-read activities
-  std::vector<std::uint64_t> place_timed_masks_;  ///< place id * mask_words_
-  std::vector<std::uint64_t> timed_fired_masks_;  ///< timed idx * mask_words_
-  std::vector<std::uint64_t> inst_fired_masks_;   ///< inst idx * mask_words_
-  /// Deduplicated dependent instantaneous activities per fired activity
-  /// (own index first for instantaneous firings, then the declared
-  /// writes' dependents in place order — the vector path's insertion
-  /// order, preserved so dirty_inst_ contents match element for element).
-  std::vector<std::vector<std::uint32_t>> timed_fired_inst_;
-  std::vector<std::vector<std::uint32_t>> inst_fired_inst_;
-  /// Bitmask variant of the instantaneous dirty set, usable when no
-  /// instantaneous activity has an opaque read set (always_inst_
-  /// empty): the dirty set is then duplicate-free, so its popcount IS
-  /// the vector path's eval count, and instantaneous evaluations are
-  /// pure predicate reads (no RNG, no trace), so ascending bit order
-  /// is interchangeable with insertion order.
-  bool fast_inst_ = false;
-  std::size_t inst_mask_words_ = 0;
-  std::vector<std::uint64_t> inst_mask_;  ///< dirty bits, zeroed per round
-  std::vector<std::uint64_t> place_inst_masks_;  ///< place id * words
-  std::vector<std::uint64_t> timed_fired_inst_masks_;
-  std::vector<std::uint64_t> inst_fired_inst_masks_;
+  SummaryBits timed_dirty_;  ///< drained every settle round
+  SummaryBits inst_dirty_;
+  std::vector<MaskRun> dep_runs_;
+  std::vector<DepSpan> fired_deps_;   ///< timed idx, then #timed + inst idx
+  std::vector<DepSpan> place_spans_;  ///< enabling-index place id
+  std::vector<MaskRun> always_timed_runs_;  ///< opaque-read activities
+  /// Impulse index: the refs of activity slot k (timed index, then
+  /// #timed + instantaneous index) are impulse_refs_[impulse_begin_[k],
+  /// impulse_begin_[k + 1]), in reward registration order. Empty when
+  /// no registered reward has an impulse on this model.
+  std::vector<std::uint32_t> impulse_begin_;
+  std::vector<ImpulseRef> impulse_refs_;
   /// Reusable render buffer for kMarking trace events (satellite of the
   /// no-allocation tracing guarantee; see tests/perf).
   std::string value_buf_;
@@ -589,7 +691,7 @@ class Simulator {
   /// priority-ordered positions ((priority desc, index asc), so the
   /// lowest set position is exactly the activity the reference
   /// selection scan picks). Empty on the object engine.
-  std::vector<std::uint64_t> inst_enabled_bits_;
+  SummaryBits inst_enabled_bits_;
   std::vector<std::uint32_t> inst_prio_order_;  // position -> inst index
   std::vector<std::uint32_t> inst_prio_pos_;    // inst index -> position
 };

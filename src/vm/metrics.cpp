@@ -1,5 +1,6 @@
 #include "vm/metrics.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -163,29 +164,31 @@ std::unique_ptr<san::RewardVariable> system_throughput(
     const VirtualSystem& system, san::Time warmup) {
   auto reward = std::make_unique<san::RewardVariable>(
       san::RewardVariable::impulse_only("system_throughput", warmup));
-  std::vector<std::shared_ptr<san::TokenPlace>> counters;
-  for (const auto& vm : system.vms) {
-    counters.push_back(vm.places.completed_jobs);
-  }
-  // One shared delta tracker: each VCPU Clock completion contributes the
-  // jobs newly finished since the previous completion (0 or 1).
-  auto last_seen = std::make_shared<std::int64_t>(0);
-  const auto delta_fn = [counters, last_seen]() {
-    std::int64_t total = 0;
-    for (const auto& c : counters) total += c->get();
-    const double delta = static_cast<double>(total - *last_seen);
-    *last_seen = total;
-    return delta;
-  };
-  for (const auto& vm : system.vms) {
-    for (san::Activity* clock : vm.places.clocks) {
+  // One delta tracker per VM: each VCPU Clock completion contributes the
+  // jobs its VM finished since that VM's previous Clock completion (0 or
+  // 1). Only a VM's own Clocks write its Completed_Jobs, so this equals
+  // the delta of the system-wide total, at O(1) per completion.
+  auto last_seen =
+      std::make_shared<std::vector<std::int64_t>>(system.vms.size(), 0);
+  for (std::size_t v = 0; v < system.vms.size(); ++v) {
+    const auto& places = system.vms[v].places;
+    const auto delta_fn = [counter = places.completed_jobs, last_seen, v]() {
+      std::int64_t& seen = (*last_seen)[v];
+      const std::int64_t total = counter->get();
+      const double delta = static_cast<double>(total - seen);
+      seen = total;
+      return delta;
+    };
+    for (san::Activity* clock : places.clocks) {
       reward->add_impulse(clock, delta_fn);
     }
   }
-  // The tracker is hidden state behind the reward's reset(): zero it so
-  // a pooled system's rebound reward sees the first completion's delta,
-  // not the previous replication's final total.
-  reward->add_reset_hook([last_seen]() { *last_seen = 0; });
+  // The trackers are hidden state behind the reward's reset(): zero them
+  // so a pooled system's rebound reward sees the first completion's
+  // delta, not the previous replication's final counts.
+  reward->add_reset_hook([last_seen]() {
+    std::fill(last_seen->begin(), last_seen->end(), 0);
+  });
   return reward;
 }
 

@@ -3,6 +3,8 @@
 //   * a steady-state scheduler tick performs zero heap allocations, for
 //     every built-in algorithm — the snapshot/decide/apply buffers and
 //     the sched::core run-queue state are all sized at attach time;
+//   * replication resets and steady-state replays stay allocation-free
+//     with an impulse reward (system_throughput) attached;
 //   * the Scheduling_Func gate's dynamic write footprint keeps
 //     incremental enabling from collapsing to a full rescan every tick.
 // The allocation counter overrides the global operator new, so these
@@ -17,6 +19,7 @@
 #include "san/simulator.hpp"
 #include "sched/registry.hpp"
 #include "stats/rng.hpp"
+#include "vm/metrics.hpp"
 #include "vm/system_builder.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -167,6 +170,41 @@ TEST(SchedulerHotPath, CompiledResetIsBlockCopy) {
   // The reset simulator still replays a full replication correctly.
   const auto stats = sim.advance_until(200.0);
   EXPECT_GT(stats.events, 0u);
+}
+
+/// Impulse rewards are filed by activity when registered, so neither a
+/// replication reset nor the steady state allocates on their account:
+/// with system_throughput (an impulse on every VCPU Clock) and a rate
+/// reward attached, replaying a warmed-up replication — reset(seed) and
+/// the whole run — performs no heap allocation.
+TEST(SchedulerHotPath, ImpulseRewardKeepsResetAndSteadyStateAllocationFree) {
+  auto system = vm::build_system(vm::make_symmetric_config(4, {2, 2, 2, 2}, 5),
+                                 sched::make_factory("credit")());
+  auto throughput = vm::system_throughput(*system, 20.0);
+  auto availability = vm::mean_vcpu_availability(*system, 20.0);
+  san::SimulatorConfig config;
+  config.end_time = 300.0;
+  config.seed = 4;
+  san::Simulator sim(config);
+  sim.set_model(*system->model);
+  sim.add_reward(*throughput);
+  sim.add_reward(*availability);
+  sim.run();  // warm-up: calendar slots and buffers reach capacity
+  const double jobs_per_tick = throughput->time_averaged(300.0);
+  ASSERT_GT(jobs_per_tick, 0.0);
+
+  system->reset();
+#ifndef VCPUSIM_HOTPATH_SANITIZED
+  const long before = g_allocations.load(std::memory_order_relaxed);
+#endif
+  sim.reset(config.seed);
+  sim.advance_until(config.end_time);
+#ifndef VCPUSIM_HOTPATH_SANITIZED
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0)
+      << "reset or replay allocated with an impulse reward attached";
+#endif
+  // The replay is the same replication, impulse for impulse.
+  EXPECT_EQ(throughput->time_averaged(300.0), jobs_per_tick);
 }
 
 /// Same trajectory with and without the enabling index: the dynamic

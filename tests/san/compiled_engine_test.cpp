@@ -4,14 +4,18 @@
 // predicate terms, probe terms, trampoline fallbacks, multi-case RNG
 // draws — plus the arena reset identity, the pod-vector restore recipe,
 // the event-calendar edge cases (far-future overflow, fractional times,
-// horizon-split advances), and the compile-time census the run-metrics
-// registry exports. The vm-model equivalence lives in
-// tests/integration/engine_equivalence_test.cpp; this file owns the
-// kernel-level corners a full system never reaches.
+// horizon-split advances), the compile-time census the run-metrics
+// registry exports, and the word / summary-word boundaries of the
+// sparse dirty tracking (63/64/65 and 4095/4096/4097 activities, late
+// priority winners, the opaque-write fallback). The vm-model
+// equivalence lives in tests/integration/engine_equivalence_test.cpp;
+// this file owns the kernel-level corners a full system never reaches.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "san/compiled.hpp"
@@ -339,6 +343,246 @@ TEST(CompiledEngine, KernelStatsCensusMatchesModel) {
   const KernelStats none = obj.kernel_stats();
   EXPECT_EQ(none.places, 0u);
   EXPECT_EQ(none.arena_bytes, 0u);
+}
+
+// --- Bitset boundaries of the sparse dirty tracking --------------------
+//
+// The compiled kernel keeps its dirty and enabled sets as 64-bit words
+// with a summary word per 64 words, so 64 and 4096 activities are the
+// sizes where a set spills into a new word and a new summary word. The
+// nets below straddle both and must run identically on the compiled
+// kernel (incremental and full-scan) and on the object engine.
+
+/// Fire stream and counters of one run.
+struct EngineRun {
+  std::vector<trace::OwnedTraceEvent> fires;
+  RunStats stats;
+};
+
+/// Run the model `build()` returns (a fresh one per run: a model is
+/// arena-bound by one engine at a time) on the compiled kernel with
+/// incremental enabling, on it in full-scan mode, and on the object
+/// engine in both modes, and check all four agree: the same kFire
+/// stream and aborted-event count everywhere, and the same enabling
+/// evals as the object engine in the same enabling mode.
+template <class Build>
+void expect_engines_agree(const Build& build, Time end, std::uint64_t seed,
+                          const std::string& label) {
+  const auto run = [&](Engine engine, bool incremental) {
+    auto model = build();
+    auto config = config_with(engine, end, seed);
+    config.incremental_enabling = incremental;
+    Simulator sim(config);
+    trace::RingBufferSink rec(0, trace_bit(TraceCategory::kFire));
+    sim.set_trace(&rec);
+    sim.set_model(*model);
+    const RunStats stats = sim.run();
+    return EngineRun{rec.entries(), stats};
+  };
+  const EngineRun comp = run(Engine::kCompiled, true);
+  const EngineRun comp_full = run(Engine::kCompiled, false);
+  const EngineRun obj = run(Engine::kObjectGraph, true);
+  const EngineRun obj_full = run(Engine::kObjectGraph, false);
+  ASSERT_GT(comp.stats.events, 10u) << label;
+  EXPECT_EQ(comp.fires, obj.fires) << label;
+  EXPECT_EQ(comp.fires, comp_full.fires) << label;
+  EXPECT_EQ(comp.fires, obj_full.fires) << label;
+  EXPECT_EQ(comp.stats.enabling_evals, obj.stats.enabling_evals) << label;
+  EXPECT_EQ(comp_full.stats.enabling_evals, obj_full.stats.enabling_evals)
+      << label;
+  EXPECT_EQ(comp.stats.aborted_events, obj.stats.aborted_events) << label;
+  EXPECT_EQ(comp.stats.aborted_events, comp_full.stats.aborted_events)
+      << label;
+  EXPECT_EQ(comp.stats.aborted_events, obj_full.stats.aborted_events) << label;
+}
+
+/// `timed` timed and `inst` instantaneous activities over a ring of
+/// token places, so every place's dependents spread across every word of
+/// the dirty sets. Timed activities move or mint tokens; instantaneous
+/// ones fire once a place fills up and burn a token each (no zero-time
+/// livelock). Every ninth timed and every eleventh instantaneous
+/// activity has an undeclared guard: an opaque read set (re-evaluated
+/// every round) and an opaque write set (a full rescan after it fires).
+/// Those fire rarely, so the run alternates between full rescans and
+/// sparse marking.
+std::unique_ptr<ComposedModel> build_wide_net(int timed, int inst) {
+  constexpr int kPlaces = 16;
+  auto model = std::make_unique<ComposedModel>("wide");
+  auto& sub = model->add_submodel("W");
+  std::vector<std::shared_ptr<TokenPlace>> ring;
+  for (int p = 0; p < kPlaces; ++p) {
+    ring.push_back(sub.add_place<std::int64_t>("p" + std::to_string(p), 3));
+  }
+  const auto at = [&ring](int i) {
+    return ring[static_cast<std::size_t>(i % kPlaces)];
+  };
+  for (int t = 0; t < timed; ++t) {
+    auto src = at(t);
+    auto dst = at(t * 5 + 1);
+    const bool opaque = t % 9 == 4;
+    const bool mint = t % 5 == 0;
+    auto& act = sub.add_timed_activity(
+        "t" + std::to_string(t),
+        stats::make_exponential(opaque ? 0.05 : 0.5 + 0.1 * (t % 7)));
+    InputGate in{"has", [src]() { return src->get() > 0; }, nullptr, {}, {}};
+    if (!mint) in.input_function = [src](GateContext&) { src->mut() -= 1; };
+    if (!opaque) in.footprint = mint ? access({src}) : access({src}, {src});
+    act.add_input_gate(std::move(in));
+    act.add_output_gate(
+        {"give", [dst](GateContext&) { dst->mut() += 1; }, access({}, {dst})});
+  }
+  for (int j = 0; j < inst; ++j) {
+    auto src = at(j * 3);
+    auto dst = at(j * 11 + 7);
+    const std::int64_t need = 4 + j % 3;
+    InputGate in{"full", [src, need]() { return src->get() >= need; },
+                 [src](GateContext&) { src->mut() -= 2; }, {}, {}};
+    if (j % 11 != 5) in.footprint = access({src}, {src});
+    auto& act = sub.add_instantaneous_activity("i" + std::to_string(j), j % 4);
+    act.add_input_gate(std::move(in));
+    act.add_output_gate(
+        {"spill", [dst](GateContext&) { dst->mut() += 1; }, access({}, {dst})});
+  }
+  return model;
+}
+
+TEST(CompiledEngine, SparseDirtySetsMatchAcrossWordBoundaries) {
+  // 63/64/65 cross a mask word; 4095/4096/4097 cross a summary word.
+  // Timed and instantaneous counts straddle the boundary in opposite
+  // directions so both sets meet every side of it.
+  const std::vector<std::pair<int, int>> sizes = {
+      {63, 65}, {64, 64}, {65, 63}, {4095, 4097}, {4096, 4096}, {4097, 4095}};
+  for (const auto& [timed, inst] : sizes) {
+    // About 600 timed completions whatever the size.
+    const Time end = 600.0 / timed;
+    expect_engines_agree([timed = timed, inst = inst] {
+      return build_wide_net(timed, inst);
+    }, end, 17, "timed=" + std::to_string(timed) +
+                    " inst=" + std::to_string(inst));
+  }
+}
+
+/// A zero-time ladder over `inst` instantaneous activities of equal
+/// priority, so each one's position in the priority order is its index.
+/// A unit pulse raises `rung` to the top key; the member whose key
+/// matches fires and hands `rung` to the next member down, so each step
+/// has exactly one enabled member and the winner walks down across
+/// words and summary words. A lower-priority sweeper is enabled through
+/// the whole descent from the last position and must never win it.
+std::unique_ptr<ComposedModel> build_ladder(int inst,
+                                            const std::vector<int>& members) {
+  auto model = std::make_unique<ComposedModel>("ladder");
+  auto& sub = model->add_submodel("L");
+  auto rung = sub.add_place<std::int64_t>("rung", 0);
+  auto& pulse = sub.add_timed_activity("pulse", stats::make_deterministic(1.0));
+  const std::int64_t top = members.front() + 1;
+  pulse.add_output_gate(
+      {"raise", [rung, top](GateContext&) { rung->set(top); },
+       access({}, {rung})});
+  for (int j = 0; j < inst; ++j) {
+    const auto it = std::find(members.begin(), members.end(), j);
+    // Keys are index + 1; non-members wait for a key that never comes.
+    const std::int64_t key = it != members.end() ? j + 1 : -1;
+    const std::int64_t next =
+        it != members.end() && it + 1 != members.end() ? *(it + 1) + 1 : 0;
+    auto& step = sub.add_instantaneous_activity("i" + std::to_string(j), 1);
+    step.add_input_gate(
+        {"key", [rung, key]() { return rung->get() == key; }, nullptr,
+         access({rung}), {}});
+    step.add_output_gate({"hand", [rung, next](GateContext&) { rung->set(next); },
+                          access({}, {rung})});
+  }
+  auto& sweep = sub.add_instantaneous_activity("sweep", 0);
+  sweep.add_input_gate(
+      {"raised", [rung]() { return rung->get() > 0; }, nullptr, access({rung}),
+       {}});
+  sweep.add_output_gate(
+      {"drop", [rung](GateContext&) { rung->set(0); }, access({}, {rung})});
+  return model;
+}
+
+TEST(CompiledEngine, InstantaneousWinnerInLaterWordsAndSummaryWords) {
+  struct Case {
+    int inst;
+    std::vector<int> members;  // descending
+  };
+  const std::vector<Case> cases = {
+      {65, {64, 63, 1, 0}},
+      {4097, {4096, 4095, 4032, 64, 63, 0}},
+  };
+  for (const Case& c : cases) {
+    const auto build = [&c] { return build_ladder(c.inst, c.members); };
+    const std::string label = "inst=" + std::to_string(c.inst);
+    expect_engines_agree(build, 3.0, 5, label);
+
+    // The descent itself: after each pulse, exactly the members in
+    // descending order, and never the sweeper.
+    auto model = build();
+    Simulator sim(config_with(Engine::kCompiled, 3.0, 5));
+    trace::RingBufferSink rec(0, trace_bit(TraceCategory::kFire));
+    sim.set_trace(&rec);
+    sim.set_model(*model);
+    sim.run();
+    std::vector<std::string> expected;
+    for (int pulse = 0; pulse < 3; ++pulse) {
+      expected.push_back("L->pulse");
+      for (const int j : c.members) {
+        expected.push_back("L->i" + std::to_string(j));
+      }
+    }
+    std::vector<std::string> fired;
+    for (const auto& e : rec.entries()) fired.push_back(e.name);
+    EXPECT_EQ(fired, expected) << label;
+  }
+}
+
+TEST(CompiledEngine, OpaqueWriteFallsBackToFullScanThenSparse) {
+  // 130 timed activities (three mask words) read one place each; a slow
+  // "opaque" activity writes a ring place through an undeclared gate, so
+  // its firing forces a full rescan. Afterwards marking must return to
+  // the sparse runs: far fewer evals than a full scan every event.
+  constexpr int kTimed = 130;
+  constexpr int kPlaces = 8;
+  const auto build = [] {
+    auto model = std::make_unique<ComposedModel>("fallback");
+    auto& sub = model->add_submodel("F");
+    std::vector<std::shared_ptr<TokenPlace>> ring;
+    for (int p = 0; p < kPlaces; ++p) {
+      ring.push_back(sub.add_place<std::int64_t>("p" + std::to_string(p), 1));
+    }
+    for (int t = 0; t < kTimed; ++t) {
+      auto src = ring[static_cast<std::size_t>(t % kPlaces)];
+      auto dst = ring[static_cast<std::size_t>((t + 3) % kPlaces)];
+      auto& act = sub.add_timed_activity("t" + std::to_string(t),
+                                         stats::make_exponential(1.0));
+      act.add_input_gate({"has", [src]() { return src->get() > 0; },
+                          [src](GateContext&) { src->mut() -= 1; },
+                          access({src}, {src}), {}});
+      act.add_output_gate({"give", [dst](GateContext&) { dst->mut() += 1; },
+                           access({}, {dst})});
+    }
+    auto target = ring.front();
+    auto& opaque =
+        sub.add_timed_activity("opaque", stats::make_exponential(0.5));
+    opaque.add_output_gate(
+        {"o", [target](GateContext&) { target->mut() += 1; }, {}});
+    return model;
+  };
+  expect_engines_agree(build, 12.0, 23, "fallback");
+
+  const auto evals = [&build](bool incremental) {
+    auto model = build();
+    auto config = config_with(Engine::kCompiled, 12.0, 23);
+    config.incremental_enabling = incremental;
+    Simulator sim(config);
+    sim.set_model(*model);
+    return sim.run();
+  };
+  const RunStats sparse = evals(true);
+  const RunStats full = evals(false);
+  EXPECT_EQ(sparse.events, full.events);
+  EXPECT_LT(sparse.enabling_evals * 3, full.enabling_evals)
+      << "sparse=" << sparse.enabling_evals << " full=" << full.enabling_evals;
 }
 
 TEST(CompiledEngine, EngineNamesRoundTrip) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "san/simulator.hpp"
 #include "stats/distribution.hpp"
 
@@ -44,13 +48,22 @@ TEST(RewardVariable, RateReadsCurrentState) {
 }
 
 TEST(RewardVariable, ImpulseOnActivityCompletion) {
-  Activity a("a", stats::make_deterministic(1.0));
-  Activity b("b", stats::make_deterministic(1.0));
+  // Two unit clocks fire at t = 1 and t = 2; only a's completions earn.
+  ComposedModel cm("M");
+  auto& sub = cm.add_submodel("S");
+  auto& a = sub.add_timed_activity("a", stats::make_deterministic(1.0));
+  auto& b = sub.add_timed_activity("b", stats::make_deterministic(1.0));
+  a.add_output_gate({"a", [](GateContext&) {}, access({})});
+  b.add_output_gate({"b", [](GateContext&) {}, access({})});
   auto r = RewardVariable::impulse_only("r");
-  r.add_impulse(&a, []() { return 2.5; });
-  r.on_completion(a, 1.0);
-  r.on_completion(b, 1.0);  // no impulse registered for b
-  r.on_completion(a, 2.0);
+  r.add_impulse(&a, []() { return 2.5; });  // no impulse registered for b
+
+  SimulatorConfig c;
+  c.end_time = 2.0;
+  Simulator sim(c);
+  sim.set_model(cm);
+  sim.add_reward(r);
+  EXPECT_EQ(sim.run().events, 4u);
   EXPECT_DOUBLE_EQ(r.accumulated(), 5.0);
   EXPECT_EQ(r.impulse_count(), 2u);
 }
@@ -63,10 +76,10 @@ TEST(RewardVariable, ImpulseBeforeStartEvaluatedButNotAccrued) {
     ++calls;
     return 1.0;
   });
-  r.on_completion(a, 5.0);
+  r.on_impulse(0, 5.0);
   EXPECT_EQ(calls, 1);  // delta-style impulse functions must observe this
   EXPECT_DOUBLE_EQ(r.accumulated(), 0.0);
-  r.on_completion(a, 12.0);
+  r.on_impulse(0, 12.0);
   EXPECT_DOUBLE_EQ(r.accumulated(), 1.0);
 }
 
@@ -133,6 +146,150 @@ TEST(RewardVariable, AccruesTailUpToEndTime) {
   sim.run();
   EXPECT_DOUBLE_EQ(r.accumulated(), 9.0);  // flag=1 during [1, 10)
   EXPECT_DOUBLE_EQ(r.time_averaged(10.0), 0.9);
+}
+
+// --- Per-activity impulse dispatch ---------------------------------------
+//
+// Simulator::add_reward files each impulse under its activity; a
+// completion runs exactly that activity's impulses, in reward
+// registration order and then add_impulse order, on either engine.
+
+constexpr Engine kEngines[] = {Engine::kCompiled, Engine::kObjectGraph};
+
+/// A unit clock feeding tokens to an instantaneous drain: per tick one
+/// timed and one instantaneous completion.
+struct ClockDrain {
+  ComposedModel model{"M"};
+  Activity* clock = nullptr;
+  Activity* drain = nullptr;
+
+  ClockDrain() {
+    auto& sub = model.add_submodel("S");
+    auto tokens = sub.add_place<std::int64_t>("tokens", 0);
+    clock = &sub.add_timed_activity("clock", stats::make_deterministic(1.0));
+    clock->add_output_gate(
+        {"feed", [tokens](GateContext&) { tokens->mut() += 1; },
+         access({}, {tokens})});
+    drain = &sub.add_instantaneous_activity("drain");
+    drain->add_input_gate({"has", [tokens]() { return tokens->get() > 0; },
+                           [tokens](GateContext&) { tokens->mut() -= 1; },
+                           access({tokens}, {tokens}), {}});
+  }
+};
+
+SimulatorConfig until(Engine engine, Time end) {
+  SimulatorConfig c;
+  c.engine = engine;
+  c.end_time = end;
+  return c;
+}
+
+TEST(ImpulseDispatch, SameActivityRunsInRegistrationOrder) {
+  for (const Engine engine : kEngines) {
+    ClockDrain net;
+    std::vector<std::string> calls;
+    const auto log = [&calls](const char* tag) {
+      return [&calls, tag]() {
+        calls.emplace_back(tag);
+        return 1.0;
+      };
+    };
+    auto first = RewardVariable::impulse_only("first");
+    first.add_impulse(net.clock, log("first.a"));
+    first.add_impulse(net.clock, log("first.b"));
+    auto second = RewardVariable::impulse_only("second");
+    second.add_impulse(net.clock, log("second"));
+    Simulator sim(until(engine, 2.0));
+    sim.set_model(net.model);
+    sim.add_reward(first);
+    sim.add_reward(second);
+    sim.run();
+    const std::vector<std::string> tick = {"first.a", "first.b", "second"};
+    std::vector<std::string> expected = tick;
+    expected.insert(expected.end(), tick.begin(), tick.end());
+    EXPECT_EQ(calls, expected) << engine_name(engine);
+    EXPECT_DOUBLE_EQ(first.accumulated(), 4.0);
+    EXPECT_DOUBLE_EQ(second.accumulated(), 2.0);
+  }
+}
+
+TEST(ImpulseDispatch, TimedAndInstantaneousActivities) {
+  for (const Engine engine : kEngines) {
+    ClockDrain net;
+    auto r = RewardVariable::impulse_only("r");
+    r.add_impulse(net.clock, []() { return 1.0; });
+    r.add_impulse(net.drain, []() { return 10.0; });
+    Simulator sim(until(engine, 3.0));
+    sim.set_model(net.model);
+    sim.add_reward(r);
+    EXPECT_EQ(sim.run().events, 6u);
+    EXPECT_DOUBLE_EQ(r.accumulated(), 33.0) << engine_name(engine);
+    EXPECT_EQ(r.impulse_count(), 6u);
+  }
+}
+
+TEST(ImpulseDispatch, ActivityOutsideModelIsIgnored) {
+  for (const Engine engine : kEngines) {
+    ClockDrain net;
+    Activity stranger("stranger", stats::make_deterministic(1.0));
+    int calls = 0;
+    auto r = RewardVariable::impulse_only("r");
+    r.add_impulse(&stranger, [&calls]() {
+      ++calls;
+      return 1.0;
+    });
+    r.add_impulse(net.clock, []() { return 2.0; });
+    Simulator sim(until(engine, 3.0));
+    sim.set_model(net.model);
+    sim.add_reward(r);
+    sim.run();
+    EXPECT_EQ(calls, 0) << engine_name(engine);
+    EXPECT_DOUBLE_EQ(r.accumulated(), 6.0);
+  }
+}
+
+TEST(ImpulseDispatch, ClearRewardsThenRebind) {
+  for (const Engine engine : kEngines) {
+    ClockDrain net;
+    auto old_reward = RewardVariable::impulse_only("old");
+    old_reward.add_impulse(net.clock, []() { return 1.0; });
+    Simulator sim(until(engine, 3.0));
+    sim.set_model(net.model);
+    sim.add_reward(old_reward);
+    sim.run();
+    ASSERT_DOUBLE_EQ(old_reward.accumulated(), 3.0);
+
+    // The rebound set replaces the old one: the dropped reward is neither
+    // reset nor earned into, the new one earns on the same activity.
+    sim.clear_rewards();
+    auto fresh = RewardVariable::impulse_only("fresh");
+    fresh.add_impulse(net.drain, []() { return 5.0; });
+    sim.add_reward(fresh);
+    sim.run();
+    EXPECT_DOUBLE_EQ(old_reward.accumulated(), 3.0) << engine_name(engine);
+    EXPECT_DOUBLE_EQ(fresh.accumulated(), 15.0);
+
+    // Re-setting the model keeps the registered rewards indexed.
+    sim.set_model(net.model);
+    sim.run();
+    EXPECT_DOUBLE_EQ(fresh.accumulated(), 15.0);
+  }
+}
+
+TEST(ImpulseDispatch, AddImpulseAfterRegistrationThrows) {
+  // The simulator indexes a reward's impulses when it is registered, so
+  // a later impulse would silently never fire: it is rejected instead.
+  ClockDrain net;
+  auto r = RewardVariable::impulse_only("r");
+  r.add_impulse(net.clock, []() { return 1.0; });
+  Simulator sim(until(Engine::kCompiled, 2.0));
+  sim.set_model(net.model);
+  sim.add_reward(r);
+  EXPECT_THROW(r.add_impulse(net.drain, []() { return 1.0; }),
+               std::logic_error);
+  sim.run();
+  EXPECT_DOUBLE_EQ(r.accumulated(), 2.0);  // the registered impulse only
+  EXPECT_EQ(r.impulses().size(), 1u);
 }
 
 }  // namespace

@@ -6,7 +6,10 @@
 // BENCH_parallel.json (see docs/PERFORMANCE.md).
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
 #include "exp/runner.hpp"
+#include "san/analyze/analyzer.hpp"
 #include "san/simulator.hpp"
 #include "sched/registry.hpp"
 #include "stats/distribution.hpp"
@@ -288,6 +291,48 @@ void BM_SlotSetup(benchmark::State& state) {
 }
 BENCHMARK(BM_SlotSetup)->Arg(4)->Arg(16)->Arg(64)
     ->Unit(benchmark::kMillisecond);
+
+/// Model set-up cost by phase, at args = total VCPUs (same shape as
+/// BM_SlotSetup): vm::build_system, the default static analysis
+/// (Analyzer::check_or_throw, as RunSpec::lint runs it) and
+/// Simulator::set_model, each reported as mean milliseconds per set-up.
+/// Every phase is linear in model size, so CI gates the 256-VCPU total
+/// at <= 8x the 64-VCPU one (4x is linear; see docs/PERFORMANCE.md).
+void BM_SetupScaling(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  const int vcpus = static_cast<int>(state.range(0));
+  const vm::SystemConfig config = setup_config(vcpus);
+  const auto factory = sched::make_factory("rrs");
+  san::SimulatorConfig sim_config;
+  sim_config.end_time = kSetupEndTime;
+  const san::analyze::Analyzer analyzer;
+  const auto ms = [](Clock::duration d) {
+    return std::chrono::duration<double, std::milli>(d).count();
+  };
+  double build_ms = 0, lint_ms = 0, set_model_ms = 0;
+  for (auto _ : state) {
+    const auto t0 = Clock::now();
+    auto system = vm::build_system(config, factory());
+    const auto t1 = Clock::now();
+    analyzer.check_or_throw(*system->model);
+    const auto t2 = Clock::now();
+    san::Simulator sim(sim_config);
+    sim.set_model(*system->model);
+    const auto t3 = Clock::now();
+    benchmark::DoNotOptimize(system.get());
+    build_ms += ms(t1 - t0);
+    lint_ms += ms(t2 - t1);
+    set_model_ms += ms(t3 - t2);
+  }
+  const auto per_setup = benchmark::Counter::kAvgIterations;
+  state.counters["build_ms"] = benchmark::Counter(build_ms, per_setup);
+  state.counters["lint_ms"] = benchmark::Counter(lint_ms, per_setup);
+  state.counters["set_model_ms"] = benchmark::Counter(set_model_ms, per_setup);
+  state.counters["total_ms"] =
+      benchmark::Counter(build_ms + lint_ms + set_model_ms, per_setup);
+  state.counters["vcpus"] = static_cast<double>(vcpus);
+}
+BENCHMARK(BM_SetupScaling)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
 
 /// Incremental vs full-scan enabling on a large composed system: the
 /// same trajectory, with settle() either re-evaluating every activity

@@ -9,6 +9,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -161,7 +162,10 @@ void check_duplicate_joins(const ComposedModel& model, Sink& sink) {
   }
 }
 
-void check_join_registry(const ComposedModel& model, Sink& sink) {
+void check_join_registry(
+    const ComposedModel& model,
+    const std::unordered_map<const PlaceBase*, PlaceFacts>& places,
+    Sink& sink) {
   std::unordered_map<std::string, int> shared_names;
   for (const auto& entry : model.join_registry()) {
     shared_names[entry.shared_name]++;
@@ -176,6 +180,23 @@ void check_join_registry(const ComposedModel& model, Sink& sink) {
                 "under one name (paper Tables 1/2 would be ambiguous).");
     }
   }
+  // Every name a member may resolve through: each submodel's own name
+  // and each of its dot-qualified group prefixes ("VM_1" of
+  // "VM_1.VCPU1").
+  std::unordered_set<std::string_view> known_names;
+  for (const auto& sub : model.submodels()) {
+    const std::string_view name = sub->name();
+    known_names.insert(name);
+    for (std::size_t dot = name.find('.'); dot != std::string_view::npos;
+         dot = name.find('.', dot + 1)) {
+      known_names.insert(name.substr(0, dot));
+    }
+  }
+  const auto covers = [](std::string_view name, const SanModel& sub) {
+    const std::string_view sub_name = sub.name();
+    return sub_name.starts_with(name) &&
+           (sub_name.size() == name.size() || sub_name[name.size()] == '.');
+  };
   for (const auto& entry : model.join_registry()) {
     if (!entry.place) {
       sink.emit(Severity::kError, check::kJoinCollision, "", entry.shared_name,
@@ -183,6 +204,7 @@ void check_join_registry(const ComposedModel& model, Sink& sink) {
                 "record_join was handed a null PlacePtr.");
       continue;
     }
+    const auto held = places.find(entry.place.get());
     // A member "Sub->Local" (local part cosmetic, paper table format) is
     // resolved when some "->" split yields an existing submodel — or a
     // dot-qualified submodel group such as "VM_1" covering
@@ -193,20 +215,15 @@ void check_join_registry(const ComposedModel& model, Sink& sink) {
       for (std::size_t pos = member.find("->");
            pos != std::string::npos && !holds_place;
            pos = member.find("->", pos + 1)) {
-        const std::string name = member.substr(0, pos);
-        const std::string group_prefix = name + ".";
-        for (const auto& sub : model.submodels()) {
-          if (sub->name() != name && !sub->name().starts_with(group_prefix)) {
-            continue;
+        const std::string_view name = std::string_view(member).substr(0, pos);
+        if (known_names.count(name) == 0) continue;
+        submodel_found = true;
+        if (held == places.end()) continue;
+        for (const SanModel* holder : held->second.holders) {
+          if (covers(name, *holder)) {
+            holds_place = true;
+            break;
           }
-          submodel_found = true;
-          for (const auto& p : sub->places()) {
-            if (p.get() == entry.place.get()) {
-              holds_place = true;
-              break;
-            }
-          }
-          if (holds_place) break;
         }
       }
       if (!submodel_found) {
@@ -340,20 +357,28 @@ void check_instantaneous_cycles(const std::vector<ActivityFacts>& activities,
     if (facts.declared) nodes.push_back(&facts);
   }
   const std::size_t n = nodes.size();
+  // Edge i -> j: i writes a place j's enabling predicate inspects.
+  // Output-gate reads deliberately don't count — they can't re-enable j.
+  // Built from a place -> enabling-reader index; each adjacency list is
+  // ascending and duplicate-free, so the DFS visits successors in node
+  // order.
+  std::unordered_map<const PlaceBase*, std::vector<std::size_t>> readers;
+  for (std::size_t j = 0; j < n; ++j) {
+    for (const PlaceBase* r : nodes[j]->enable_reads) readers[r].push_back(j);
+  }
   std::vector<std::vector<std::size_t>> adj(n);
+  std::vector<std::size_t> seen_from(n, n);  // last i that added j to adj[i]
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      // Edge i -> j: i writes a place j's enabling predicate inspects.
-      // Output-gate reads deliberately don't count — they can't
-      // re-enable j.
-      for (const PlaceBase* w : nodes[i]->writes) {
-        if (nodes[j]->enable_reads.count(const_cast<PlaceBase*>(w)) > 0) {
-          adj[i].push_back(j);
-          break;
-        }
+    for (const PlaceBase* w : nodes[i]->writes) {
+      const auto it = readers.find(w);
+      if (it == readers.end()) continue;
+      for (const std::size_t j : it->second) {
+        if (j == i || seen_from[j] == i) continue;
+        seen_from[j] = i;
+        adj[i].push_back(j);
       }
     }
+    std::sort(adj[i].begin(), adj[i].end());
   }
   // DFS cycle detection; report the first cycle through each root node.
   std::vector<int> color(n, 0);  // 0 white, 1 on stack, 2 done
@@ -632,7 +657,7 @@ Report Analyzer::analyze(const ComposedModel& model) const {
 
   check_names(model, sink);
   check_duplicate_joins(model, sink);
-  check_join_registry(model, sink);
+  check_join_registry(model, places, sink);
   check_case_probabilities(activities, sink);
   check_dead_activities(activities, options_, sink);
   check_orphan_places(places, report.footprints_complete, sink);

@@ -128,15 +128,12 @@ IncidenceStructure extract_incidence(const ComposedModel& model) {
       }
       return;
     }
-    const auto writes_place = [&fp](const PlaceBase* place) {
-      for (const PlacePtr& w : fp.writes) {
-        if (w.get() == place) return true;
-      }
-      return false;
-    };
-    for (const EffectVariant& variant : fp.effects) {
+    std::unordered_set<const PlaceBase*> written;
+    written.reserve(fp.writes.size());
+    for (const PlacePtr& w : fp.writes) written.insert(w.get());
+    fp.for_each_effect([&](const EffectVariant& variant) {
       for (const TokenDelta& delta : variant.deltas) {
-        if (!writes_place(delta.place.get())) {
+        if (written.count(delta.place.get()) == 0) {
           out.diagnostics.push_back(make_diag(
               model, Severity::kError, check::kEffectFootprintMismatch,
               submodel.name(), activity.name(), delta.place->name(),
@@ -162,7 +159,7 @@ IncidenceStructure extract_incidence(const ComposedModel& model) {
               "component); this delta matches neither."));
         }
       }
-    }
+    });
   });
 
   // --- Columns ---------------------------------------------------------
@@ -202,12 +199,12 @@ IncidenceStructure extract_incidence(const ComposedModel& model) {
       const auto classify = [&](const std::string& gate_name,
                                 const GateAccess& fp,
                                 std::vector<const GateAccess*>& crossed) {
-        if (fp.effects_declared && fp.effects_compositional) {
+        if (fp.effects_declared && fp.compositional_effects) {
           any_compositional = true;
-          for (const EffectVariant& variant : fp.effects) {
+          fp.compositional_effects([&](const EffectVariant& variant) {
             emit_column(*activity, gate_name + ":" + variant.label,
                         {&variant});
-          }
+          });
         } else {
           crossed.push_back(&fp);
         }

@@ -27,7 +27,7 @@ std::string effect_trampoline_reason(const GateAccess& fp) {
   if (!fp.effects_exact) {
     return "effects not declared exact (use with_exact_effect)";
   }
-  if (fp.effects_compositional) return "compositional effects";
+  if (fp.compositional_effects) return "compositional effects";
   if (!fp.opaque_effects.empty()) return "opaque effect places";
   if (fp.dynamic_writes) return "dynamic write footprint";
   if (fp.effects.size() != 1) {

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -77,6 +78,13 @@ struct EffectVariant {
   std::vector<TokenDelta> deltas;
 };
 
+/// Callback receiving one enumerated EffectVariant. The variant is only
+/// valid for the duration of the call.
+using EffectVisitor = std::function<void(const EffectVariant&)>;
+/// On-demand enumeration of a compositional gate's variants: calls the
+/// visitor once per variant, always in the same order.
+using EffectEnumerator = std::function<void(const EffectVisitor&)>;
+
 /// Declared marking footprint of a gate, consumed by san::analyze. Gate
 /// predicates and functions are opaque closures, so the places they touch
 /// cannot be discovered by inspection; a gate that declares its access
@@ -119,7 +127,12 @@ struct GateAccess {
   /// performs several assign/deschedule micro-steps per tick). Each
   /// variant still becomes its own incidence column — a linear invariant
   /// annihilating every column also annihilates every composition.
-  bool effects_compositional = false;
+  /// Compositional variants are never stored: a gate coupling V VCPUs
+  /// to P PCPUs has O(V·P) of them, so they are enumerated on demand
+  /// from the gate's own O(V+P) state, and only by the incidence
+  /// extraction (`lint --prove`, `--verify-footprints`). Non-null marks
+  /// the gate compositional; `effects` then stays empty.
+  EffectEnumerator compositional_effects;
   /// Written places whose viewed tokens the gate updates in a way that
   /// has no constant delta (e.g. a round-robin cursor set to (k+1) mod
   /// n). Their tokens are excluded from invariant support instead of
@@ -135,6 +148,16 @@ struct GateAccess {
   /// inexact declaration changes compiled-engine trajectories. Declare
   /// with with_exact_effect().
   bool effects_exact = false;
+
+  /// Visit every declared variant in declaration order: the on-demand
+  /// enumeration of a compositional gate, `effects` otherwise.
+  void for_each_effect(const EffectVisitor& visit) const {
+    if (compositional_effects) {
+      compositional_effects(visit);
+      return;
+    }
+    for (const EffectVariant& variant : effects) visit(variant);
+  }
 };
 
 /// Fluent helpers so call sites can extend a footprint built by
@@ -148,14 +171,30 @@ inline GateAccess with_effects(GateAccess base,
   return base;
 }
 
-/// Like with_effects(), but one firing may compose several variants
-/// (see GateAccess::effects_compositional).
+/// Like with_effects(), but one firing may compose several variants,
+/// which `enumerate` produces on demand (see
+/// GateAccess::compositional_effects).
+inline GateAccess with_compositional_effects(GateAccess base,
+                                             EffectEnumerator enumerate,
+                                             std::vector<PlacePtr> opaque = {}) {
+  base = with_effects(std::move(base), {}, std::move(opaque));
+  base.compositional_effects = std::move(enumerate);
+  return base;
+}
+
+/// Compositional effects given as an explicit list: an enumerator over
+/// the (shared, immutable) list.
 inline GateAccess with_compositional_effects(GateAccess base,
                                              std::vector<EffectVariant> variants,
                                              std::vector<PlacePtr> opaque = {}) {
-  base = with_effects(std::move(base), std::move(variants), std::move(opaque));
-  base.effects_compositional = true;
-  return base;
+  auto list =
+      std::make_shared<const std::vector<EffectVariant>>(std::move(variants));
+  return with_compositional_effects(
+      std::move(base),
+      [list](const EffectVisitor& visit) {
+        for (const EffectVariant& variant : *list) visit(variant);
+      },
+      std::move(opaque));
 }
 
 /// Declare a single *exact* effect variant (GateAccess::effects_exact):

@@ -478,11 +478,11 @@ class Simulator {
           live &= live - 1;
           std::uint64_t bits = words_[w];
           words_[w] = 0;
-          count += static_cast<std::uint64_t>(std::popcount(bits));
           const auto base = static_cast<std::uint32_t>(w * 64);
           while (bits != 0) {
             visit(base + static_cast<std::uint32_t>(std::countr_zero(bits)));
             bits &= bits - 1;
+            ++count;
           }
         }
       }

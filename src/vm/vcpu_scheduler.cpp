@@ -405,31 +405,35 @@ SchedulerPlaces build_vcpu_scheduler(san::ComposedModel& model,
   // One scheduler tick is any multiset of assign/deschedule micro-ops
   // (plus token-invisible timeslice accounting), so the effect
   // declaration is compositional: each micro-variant is its own
-  // incidence column rather than a combinatorial cross product.
-  std::vector<san::EffectVariant> micro_ops;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::string vcpu_tag = "vcpu" + std::to_string(i + 1);
-    const auto& host = context->places.hosts[i];
-    const auto& in = context->bindings[i].schedule_in;
-    const auto& out = context->bindings[i].schedule_out;
-    for (std::size_t p = 0; p < num_pcpus; ++p) {
-      const std::string ptag = "p" + std::to_string(p);
-      micro_ops.push_back({"assign-" + vcpu_tag + "-" + ptag,
-                           {{host, "assigned", +1},
-                            {host, "unassigned", -1},
-                            {context->places.pcpus, ptag + ".busy", +1},
-                            {context->places.pcpus, ptag + ".idle", -1},
-                            {in, "pending", +1},
-                            {in, "idle", -1}}});
-      micro_ops.push_back({"deschedule-" + vcpu_tag + "-" + ptag,
-                           {{host, "assigned", -1},
-                            {host, "unassigned", +1},
-                            {context->places.pcpus, ptag + ".busy", -1},
-                            {context->places.pcpus, ptag + ".idle", +1},
-                            {out, "pending", +1},
-                            {out, "idle", -1}}});
+  // incidence column rather than a combinatorial cross product. The
+  // 2·V·P variants are enumerated on demand from the bridge's own places
+  // (only the invariant engine asks for them), never stored.
+  auto micro_ops = [context](const san::EffectVisitor& visit) {
+    const auto& pcpus = context->places.pcpus;
+    for (std::size_t i = 0; i < context->bindings.size(); ++i) {
+      const std::string vcpu_tag = "vcpu" + std::to_string(i + 1);
+      const auto& host = context->places.hosts[i];
+      const auto& in = context->bindings[i].schedule_in;
+      const auto& out = context->bindings[i].schedule_out;
+      for (int p = 0; p < context->cfg.num_pcpus; ++p) {
+        const std::string ptag = "p" + std::to_string(p);
+        visit({"assign-" + vcpu_tag + "-" + ptag,
+               {{host, "assigned", +1},
+                {host, "unassigned", -1},
+                {pcpus, ptag + ".busy", +1},
+                {pcpus, ptag + ".idle", -1},
+                {in, "pending", +1},
+                {in, "idle", -1}}});
+        visit({"deschedule-" + vcpu_tag + "-" + ptag,
+               {{host, "assigned", -1},
+                {host, "unassigned", +1},
+                {pcpus, ptag + ".busy", -1},
+                {pcpus, ptag + ".idle", +1},
+                {out, "pending", +1},
+                {out, "idle", -1}}});
+      }
     }
-  }
+  };
   clock.add_output_gate(san::OutputGate{
       "Scheduling_Func",
       [context](san::GateContext& ctx) { context->tick(ctx); },

@@ -6,7 +6,10 @@
 //   * replication resets and steady-state replays stay allocation-free
 //     with an impulse reward (system_throughput) attached;
 //   * the Scheduling_Func gate's dynamic write footprint keeps
-//     incremental enabling from collapsing to a full rescan every tick.
+//     incremental enabling from collapsing to a full rescan every tick;
+//   * model set-up (build, lint, compile) allocates linearly in model
+//     size: the bridge's V x P micro-step effects are enumerated on
+//     demand, never stored.
 // The allocation counter overrides the global operator new, so these
 // tests live in their own binary.
 #include <gtest/gtest.h>
@@ -16,6 +19,7 @@
 #include <new>
 #include <vector>
 
+#include "san/analyze/analyzer.hpp"
 #include "san/simulator.hpp"
 #include "sched/registry.hpp"
 #include "stats/rng.hpp"
@@ -229,6 +233,82 @@ TEST(SchedulerHotPath, SchedulerTickAvoidsFullEnablingRescan) {
   EXPECT_LT(incremental.enabling_evals * 3, full.enabling_evals)
       << "incremental=" << incremental.enabling_evals
       << " full=" << full.enabling_evals;
+}
+
+/// Heap allocations of one set-up phase of a `pcpus`-PCPU host running
+/// `pcpus` two-VCPU VMs.
+struct SetupAllocations {
+  long build = 0;
+  long lint = 0;
+  long compile = 0;
+  long total() const { return build + lint + compile; }
+};
+
+SetupAllocations count_setup_allocations(int pcpus) {
+  SetupAllocations out;
+  long mark = g_allocations.load(std::memory_order_relaxed);
+  const auto lap = [&mark]() {
+    const long now = g_allocations.load(std::memory_order_relaxed);
+    const long delta = now - mark;
+    mark = now;
+    return delta;
+  };
+  auto system = vm::build_system(
+      vm::make_symmetric_config(pcpus, std::vector<int>(pcpus, 2), 5),
+      sched::make_factory("rrs")());
+  out.build = lap();
+  san::analyze::Analyzer().check_or_throw(*system->model);
+  out.lint = lap();
+  san::SimulatorConfig config;
+  config.end_time = 100.0;
+  san::Simulator sim(config);
+  sim.set_model(*system->model);
+  out.compile = lap();
+  return out;
+}
+
+/// Set-up grows linearly with the model: quadrupling the host (128 ->
+/// 512 VCPUs, 64 -> 256 PCPUs) must cost at most 6x the allocations in
+/// each phase. Linear growth gives about 4x; an eager V x P effect
+/// declaration or an all-pairs lint check gives about 16x.
+TEST(SchedulerHotPath, SetupAllocationsGrowLinearlyWithHostSize) {
+#ifdef VCPUSIM_HOTPATH_SANITIZED
+  GTEST_SKIP() << "allocation counting is disabled under sanitizers";
+#else
+  const SetupAllocations small = count_setup_allocations(64);
+  const SetupAllocations large = count_setup_allocations(256);
+  ASSERT_GT(small.build, 0);
+  ASSERT_GT(small.lint, 0);
+  ASSERT_GT(small.compile, 0);
+  EXPECT_LE(large.build, 6 * small.build)
+      << "build_system: " << small.build << " -> " << large.build;
+  EXPECT_LE(large.lint, 6 * small.lint)
+      << "check_or_throw: " << small.lint << " -> " << large.lint;
+  EXPECT_LE(large.compile, 6 * small.compile)
+      << "set_model: " << small.compile << " -> " << large.compile;
+  EXPECT_LE(large.total(), 6 * small.total());
+#endif
+}
+
+/// The Scheduling_Func gate declares its 2·V·P assign/deschedule
+/// micro-steps by enumeration only: no EffectVariant is stored on the
+/// gate, yet enumerating still yields every step.
+TEST(SchedulerHotPath, BridgeGateStoresNoPerPairEffectVariant) {
+  const int pcpus = 256;
+  auto system = vm::build_system(
+      vm::make_symmetric_config(pcpus, std::vector<int>(pcpus, 2), 5),
+      sched::make_factory("rrs")());
+  const san::Activity& clock = *system->scheduler_places.clock;
+  const auto& gate = clock.cases().front().output_gates.front();
+  ASSERT_EQ(gate.name, "Scheduling_Func");
+  EXPECT_TRUE(gate.footprint.effects.empty());
+  ASSERT_TRUE(gate.footprint.compositional_effects);
+  std::size_t steps = 0;
+  gate.footprint.for_each_effect([&steps](const san::EffectVariant&) {
+    ++steps;
+  });
+  EXPECT_EQ(steps, 2u * static_cast<std::size_t>(system->num_vcpus()) *
+                       static_cast<std::size_t>(pcpus));
 }
 
 }  // namespace

@@ -6,12 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "san/model.hpp"
 #include "san/token_view.hpp"
 #include "stats/distribution.hpp"
+#include "sched/registry.hpp"
+#include "vm/system_builder.hpp"
 
 namespace vcpusim::san::analyze {
 namespace {
@@ -208,6 +212,90 @@ TEST(Incidence, CompositionalGateEmitsStandaloneColumns) {
   ASSERT_EQ(inc.columns.size(), 2u);
   EXPECT_NE(find_column(inc, "S->Bridge/Micro:xfer"), nullptr);
   EXPECT_NE(find_column(inc, "S->Bridge/Micro:back"), nullptr);
+}
+
+/// The scheduler bridge enumerates its assign/deschedule micro-steps on
+/// demand. They must be exactly what an eager list declaration states —
+/// same labels, same order, same deltas — and so must the incidence
+/// columns extracted from them.
+TEST(Incidence, BridgeMicroStepsMatchEagerDeclaration) {
+  auto system = vm::build_system(vm::make_symmetric_config(3, {2, 1, 2}, 5),
+                                 sched::make_factory("rrs")());
+  const auto& sp = system->scheduler_places;
+  const std::size_t num_pcpus = 3;
+
+  // The eager declaration, spelled out as a plain list.
+  std::vector<EffectVariant> eager;
+  for (std::size_t i = 0; i < system->vcpus.size(); ++i) {
+    const std::string vcpu_tag = "vcpu" + std::to_string(i + 1);
+    const auto& host = sp.hosts[i];
+    const auto& in = system->vcpus[i].schedule_in;
+    const auto& out = system->vcpus[i].schedule_out;
+    for (std::size_t p = 0; p < num_pcpus; ++p) {
+      const std::string ptag = "p" + std::to_string(p);
+      eager.push_back({"assign-" + vcpu_tag + "-" + ptag,
+                       {{host, "assigned", +1},
+                        {host, "unassigned", -1},
+                        {sp.pcpus, ptag + ".busy", +1},
+                        {sp.pcpus, ptag + ".idle", -1},
+                        {in, "pending", +1},
+                        {in, "idle", -1}}});
+      eager.push_back({"deschedule-" + vcpu_tag + "-" + ptag,
+                       {{host, "assigned", -1},
+                        {host, "unassigned", +1},
+                        {sp.pcpus, ptag + ".busy", -1},
+                        {sp.pcpus, ptag + ".idle", +1},
+                        {out, "pending", +1},
+                        {out, "idle", -1}}});
+    }
+  }
+
+  const GateAccess& fp =
+      sp.clock->cases().front().output_gates.front().footprint;
+  ASSERT_TRUE(fp.compositional_effects);
+  EXPECT_TRUE(fp.effects.empty()) << "micro-steps must not be stored";
+  std::vector<EffectVariant> enumerated;
+  fp.for_each_effect(
+      [&](const EffectVariant& v) { enumerated.push_back(v); });
+  ASSERT_EQ(enumerated.size(), eager.size());
+  for (std::size_t k = 0; k < eager.size(); ++k) {
+    EXPECT_EQ(enumerated[k].label, eager[k].label) << k;
+    ASSERT_EQ(enumerated[k].deltas.size(), eager[k].deltas.size()) << k;
+    for (std::size_t d = 0; d < eager[k].deltas.size(); ++d) {
+      EXPECT_EQ(enumerated[k].deltas[d].place, eager[k].deltas[d].place);
+      EXPECT_EQ(enumerated[k].deltas[d].component,
+                eager[k].deltas[d].component);
+      EXPECT_EQ(enumerated[k].deltas[d].delta, eager[k].deltas[d].delta);
+    }
+  }
+
+  // The extracted columns are the eager variants, in order, each summed
+  // over its transparent tokens.
+  const auto inc = extract_incidence(*system->model);
+  ASSERT_TRUE(inc.complete);
+  const std::string prefix = sp.clock->name() + "/Scheduling_Func:";
+  std::size_t first = 0;
+  while (first < inc.columns.size() &&
+         inc.columns[first].label.rfind(prefix, 0) != 0) {
+    ++first;
+  }
+  ASSERT_LE(first + eager.size(), inc.columns.size());
+  for (std::size_t k = 0; k < eager.size(); ++k) {
+    const VariantColumn& column = inc.columns[first + k];
+    EXPECT_EQ(column.label, prefix + eager[k].label);
+    std::vector<std::pair<std::size_t, std::int64_t>> expected;
+    for (const TokenDelta& delta : eager[k].deltas) {
+      const auto* token =
+          find_token(inc, delta.place->name() + "." + delta.component);
+      ASSERT_NE(token, nullptr) << delta.place->name() << delta.component;
+      if (token->opaque) continue;
+      expected.emplace_back(
+          static_cast<std::size_t>(token - inc.tokens.data()), delta.delta);
+    }
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(column.deltas, expected) << column.label;
+  }
+  EXPECT_EQ(count_check(inc, check::kEffectFootprintMismatch), 0u);
 }
 
 TEST(Incidence, OpaqueEffectsExcludeTokenFromMatrix) {

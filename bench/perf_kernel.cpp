@@ -7,12 +7,14 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <type_traits>
 
 #include "exp/runner.hpp"
 #include "san/analyze/analyzer.hpp"
 #include "san/simulator.hpp"
 #include "sched/registry.hpp"
 #include "stats/distribution.hpp"
+#include "testing/reference_interpreter.hpp"
 #include "vm/metrics.hpp"
 #include "vm/system_builder.hpp"
 
@@ -85,27 +87,22 @@ BENCHMARK(BM_VirtualSystemScale)->Arg(2)->Arg(4)->Arg(8)->Arg(16)
     ->Unit(benchmark::kMillisecond);
 
 /// Per-algorithm scheduling-function overhead across system sizes:
-/// args = (total VCPUs, engine 0/1) with 2-VCPU VMs and PCPUs = VMs,
-/// i.e. 50% over-commit. Engine 1 is the compiled data-oriented kernel
-/// (arena markings + flat gate dispatch), engine 0 the object-graph
-/// reference; trajectories are bit-identical, so the events_per_s ratio
-/// is pure kernel overhead. The system and simulator are built once and
-/// reused via the PR-5 replication recipe (VirtualSystem::reset +
-/// Simulator::reset(seed)) — the same steady state the exp::SystemPool
-/// runs in, so model construction and compilation are not in the
-/// measured loop. CI publishes the matrix as BENCH_kernel.json and
-/// gates compiled >= 2x object at 64 VCPUs and, for rrs and credit,
-/// compiled events/s at 256 VCPUs >= 0.65x that at 16 VCPUs (the
-/// per-event kernel cost must not grow with the model; see the
-/// perf-smoke job).
+/// arg = total VCPUs with 2-VCPU VMs and PCPUs = VMs, i.e. 50%
+/// over-commit. The system and simulator are built once and reused via
+/// the replication recipe (VirtualSystem::reset + Simulator::reset(seed))
+/// — the same steady state the exp::SystemPool runs in, so model
+/// construction and compilation are not in the measured loop. CI
+/// publishes the matrix as BENCH_kernel.json and gates, for rrs and
+/// credit, the kernel's speedup over BM_SchedulerTickReference at 64
+/// VCPUs and its events/s at 256 VCPUs against 16 VCPUs (the per-event
+/// kernel cost must not grow with the model; see the perf-smoke job).
 /// enabling_evals_per_event is the tell-tale for the Scheduling_Func
 /// gate's dynamic write footprint: it stays roughly flat as the system
 /// grows, whereas a full enabling rescan on every scheduler tick would
 /// make it grow linearly with the VCPU count.
-void BM_SchedulerTick(benchmark::State& state,
-                      const std::string& algorithm) {
+template <class Runner>
+void run_scheduler_tick(benchmark::State& state, const std::string& algorithm) {
   const int vms = static_cast<int>(state.range(0)) / 2;
-  const bool compiled = state.range(1) != 0;
   auto system = vm::build_system(
       vm::make_symmetric_config(
           vms, std::vector<int>(static_cast<std::size_t>(vms), 2), 5),
@@ -113,8 +110,7 @@ void BM_SchedulerTick(benchmark::State& state,
   san::SimulatorConfig config;
   config.end_time = 1000.0;
   config.seed = 3;
-  config.engine = compiled ? san::Engine::kCompiled : san::Engine::kObjectGraph;
-  san::Simulator sim(config);
+  Runner sim(config);
   sim.set_model(*system->model);
   double total_events = 0;
   double total_evals = 0;
@@ -132,22 +128,38 @@ void BM_SchedulerTick(benchmark::State& state,
   state.counters["enabling_evals_per_event"] = total_evals / total_events;
   state.counters["aborted_per_event"] = total_aborted / total_events;
   state.counters["vcpus"] = static_cast<double>(state.range(0));
-  state.counters["engine_compiled"] = compiled ? 1.0 : 0.0;
+  // 1 = the compiled kernel, 0 = the reference interpreter; the CI size
+  // gate keys on it.
+  state.counters["engine_compiled"] =
+      std::is_same_v<Runner, san::Simulator> ? 1.0 : 0.0;
+}
+
+void BM_SchedulerTick(benchmark::State& state, const std::string& algorithm) {
+  run_scheduler_tick<san::Simulator>(state, algorithm);
 }
 BENCHMARK_CAPTURE(BM_SchedulerTick, rrs, std::string("rrs"))
-    ->Args({4, 0})->Args({4, 1})->Args({16, 0})->Args({16, 1})
-    ->Args({64, 0})->Args({64, 1})->Args({256, 1})
-    ->Unit(benchmark::kMillisecond);
+    ->Arg(4)->Arg(16)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_SchedulerTick, scs, std::string("scs"))
-    ->Args({4, 0})->Args({4, 1})->Args({16, 0})->Args({16, 1})
-    ->Args({64, 0})->Args({64, 1})->Unit(benchmark::kMillisecond);
+    ->Arg(4)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_SchedulerTick, rcs, std::string("rcs"))
-    ->Args({4, 0})->Args({4, 1})->Args({16, 0})->Args({16, 1})
-    ->Args({64, 0})->Args({64, 1})->Unit(benchmark::kMillisecond);
+    ->Arg(4)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_SchedulerTick, credit, std::string("credit"))
-    ->Args({4, 0})->Args({4, 1})->Args({16, 0})->Args({16, 1})
-    ->Args({64, 0})->Args({64, 1})->Args({256, 1})
-    ->Unit(benchmark::kMillisecond);
+    ->Arg(4)->Arg(16)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
+
+/// The same 64-VCPU workloads (config, seed and horizon) on the test-side
+/// reference interpreter (tests/testing/reference_interpreter.hpp):
+/// closures only, a binary heap, a full enabling scan every settle
+/// round. The trajectory is the kernel's, bit for bit, so the ratio of
+/// the two rows' times is what the kernel's index, arena, calendar and
+/// bitsets buy. CI gates that ratio.
+void BM_SchedulerTickReference(benchmark::State& state,
+                               const std::string& algorithm) {
+  run_scheduler_tick<vcpusim::testing::ReferenceInterpreter>(state, algorithm);
+}
+BENCHMARK_CAPTURE(BM_SchedulerTickReference, rrs, std::string("rrs"))
+    ->Arg(64)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SchedulerTickReference, credit, std::string("credit"))
+    ->Arg(64)->Unit(benchmark::kMillisecond);
 
 /// Where scheduler-tick time actually goes: the same workload as
 /// BM_SchedulerTick with phase profiling enabled, publishing per-phase
@@ -158,7 +170,6 @@ BENCHMARK_CAPTURE(BM_SchedulerTick, credit, std::string("credit"))
 /// rows above are the regression gate.
 void BM_SchedulerTickProfiled(benchmark::State& state) {
   const int vms = static_cast<int>(state.range(0)) / 2;
-  const bool compiled = state.range(1) != 0;
   double total_events = 0;
   stats::PhaseProfile total;
   auto system = vm::build_system(
@@ -169,7 +180,6 @@ void BM_SchedulerTickProfiled(benchmark::State& state) {
   config.end_time = 1000.0;
   config.seed = 3;
   config.profile = true;
-  config.engine = compiled ? san::Engine::kCompiled : san::Engine::kObjectGraph;
   system->scheduler_places.profile->set_enabled(true);
   san::Simulator sim(config);
   sim.set_model(*system->model);
@@ -193,11 +203,9 @@ void BM_SchedulerTickProfiled(benchmark::State& state) {
     state.counters[std::string(stats::phase_name(phase)) + "_ns_per_event"] =
         static_cast<double>(total.nanoseconds(phase)) / total_events;
   }
-  state.counters["engine_compiled"] = compiled ? 1.0 : 0.0;
 }
 BENCHMARK(BM_SchedulerTickProfiled)
-    ->Args({16, 0})->Args({16, 1})->Args({64, 0})->Args({64, 1})
-    ->Unit(benchmark::kMillisecond);
+    ->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond);
 
 /// Parallel replication speedup: a fig8-style run_point with a fixed
 /// replication count (min == max, unreachable CI target, so every jobs

@@ -81,24 +81,6 @@ class Activity {
   /// Sample a completion delay (timed activities only).
   Time sample_delay(stats::Rng& rng) const;
 
-  // --- Simulator bookkeeping (activation tracking) ------------------
-  // A scheduled completion event carries the activation id at schedule
-  // time; cancelling an activation bumps the id so stale events are
-  // ignored when popped.
-  std::uint64_t activation_id() const noexcept { return activation_id_; }
-  bool scheduled() const noexcept { return scheduled_; }
-  void mark_scheduled() noexcept { scheduled_ = true; }
-  /// Consume or abort the current activation.
-  void cancel_activation() noexcept {
-    ++activation_id_;
-    scheduled_ = false;
-  }
-  /// Reset bookkeeping between replications.
-  void reset_state() noexcept {
-    ++activation_id_;
-    scheduled_ = false;
-  }
-
  private:
   Activity(std::string name, int priority);  // instantaneous ctor
 
@@ -109,9 +91,6 @@ class Activity {
   std::vector<Case> cases_;
   double total_weight_ = 0.0;
   bool explicit_cases_ = false;
-
-  std::uint64_t activation_id_ = 0;
-  bool scheduled_ = false;
 };
 
 }  // namespace vcpusim::san

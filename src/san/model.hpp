@@ -82,12 +82,10 @@ class SanModel {
     return nullptr;
   }
 
-  /// Restore the initial marking of every owned/joined place and clear
-  /// activity activations. Shared places are reset once per owner, which
-  /// is idempotent.
+  /// Restore the initial marking of every owned/joined place. Shared
+  /// places are reset once per owner, which is idempotent.
   void reset_marking() {
     for (auto& p : places_) p->reset();
-    for (auto& a : activities_) a->reset_state();
   }
 
  private:

@@ -30,26 +30,6 @@ class ScopedListener {
 
 }  // namespace
 
-const char* engine_name(Engine engine) noexcept {
-  switch (engine) {
-    case Engine::kObjectGraph: return "object";
-    case Engine::kCompiled: return "compiled";
-  }
-  return "?";
-}
-
-bool parse_engine(std::string_view text, Engine& out) noexcept {
-  if (text == "object") {
-    out = Engine::kObjectGraph;
-    return true;
-  }
-  if (text == "compiled") {
-    out = Engine::kCompiled;
-    return true;
-  }
-  return false;
-}
-
 Simulator::Simulator(SimulatorConfig config)
     : config_(config), rng_(config.seed) {
   if (!SimulatorConfig::valid_end_time(config_.end_time)) {
@@ -59,18 +39,16 @@ Simulator::Simulator(SimulatorConfig config)
 
 void Simulator::set_model(ComposedModel& model) {
   // Re-setting swaps the model: every per-model structure (activity
-  // vectors, dependency index, trace write lists, dirty state) is
-  // rebuilt below; run()/reset() must be called again before advancing.
-  model_ = &model;
+  // vectors, compiled program, enabling index, trace write lists, dirty
+  // state) is rebuilt below; run()/reset() must be called again before
+  // advancing. model_ is set only once compilation succeeded, so a
+  // rejected model (e.g. already arena-bound elsewhere) leaves the
+  // simulator unusable until the next set_model, not half-bound.
+  model_ = nullptr;
   started_ = false;
   trace_writes_built_ = false;
   sanitizer_.reset();  // the invariant analysis is per-model
   compiled_.reset();   // unbind any previous arena before recompiling
-  timed_compiled_.clear();
-  inst_compiled_.clear();
-  touch_lookup_.clear();
-  dirty_timed_.clear();
-  dirty_inst_.clear();
   dirty_all_ = true;
   activities_.clear();
   instantaneous_.clear();
@@ -81,16 +59,14 @@ void Simulator::set_model(ComposedModel& model) {
       activities_.push_back(a);
     }
   }
-  timed_marked_.assign(activities_.size(), 0);
-  inst_marked_.assign(instantaneous_.size(), 0);
   inst_enabled_.assign(instantaneous_.size(), 0);
-  if (config_.engine == Engine::kCompiled) {
-    compile_profile_.set_enabled(config_.profile);
+  compile_profile_.set_enabled(config_.profile);
+  {
     stats::ScopedPhaseTimer timer(&compile_profile_, stats::Phase::kCompile);
     compiled_ = std::make_unique<CompiledModel>(
         model, CompileOptions{.force_trampoline = config_.verify_footprints});
-    timed_compiled_.reserve(activities_.size());
-    inst_compiled_.reserve(instantaneous_.size());
+    timed_compiled_.clear();
+    inst_compiled_.clear();
     for (const Activity* a : activities_) {
       timed_compiled_.push_back(compiled_->find(a));
     }
@@ -99,11 +75,10 @@ void Simulator::set_model(ComposedModel& model) {
     }
     timed_hot_.assign(activities_.size(), TimedHot{});
     for (std::size_t t = 0; t < activities_.size(); ++t) {
-      timed_hot_[t].delay = activities_[t]->delay();
-      if (timed_hot_[t].delay != nullptr) {
-        timed_hot_[t].det_delay = timed_hot_[t].delay->rng_free_constant();
-      }
-      timed_hot_[t].priority = activities_[t]->priority();
+      TimedHot& hot = timed_hot_[t];
+      hot.delay = activities_[t]->delay();
+      hot.det_delay = hot.delay->rng_free_constant();
+      hot.priority = activities_[t]->priority();
     }
     // Priority-ordered permutation of the instantaneous activities:
     // stable sort keeps equal priorities in index order, so the first
@@ -122,27 +97,121 @@ void Simulator::set_model(ComposedModel& model) {
       inst_prio_pos_[inst_prio_order_[pos]] = pos;
     }
     inst_enabled_bits_.assign(instantaneous_.size());
-  } else {
-    timed_hot_.clear();
-    inst_enabled_bits_.assign(0);
-    inst_prio_order_.clear();
-    inst_prio_pos_.clear();
   }
+  model_ = &model;
   use_incremental_ = config_.incremental_enabling;
-  if (use_incremental_) build_dependency_index();
-  if (compiled_ != nullptr && use_incremental_) build_touch_lookup();
-  fast_dirty_ = compiled_ != nullptr && use_incremental_ &&
-                !config_.verify_footprints;
-  if (fast_dirty_) build_dep_runs();
+  if (use_incremental_) build_enabling_index();
   build_impulse_index();
 }
 
-void Simulator::build_dep_runs() {
+void Simulator::build_enabling_index() {
+  // Dependents of one place: the activities whose enabling may change
+  // when its marking does.
+  struct PlaceDeps {
+    std::vector<std::uint32_t> timed;
+    std::vector<std::uint32_t> inst;
+  };
+  std::vector<PlaceDeps> place_deps;
+  place_ids_.clear();
+  // Per activity (timed, then instantaneous): the enabling-index ids of
+  // its static write set, whether every gate declared its writes, and
+  // whether a dynamic-writes gate (GateAccess::dynamic_writes) reports
+  // its writes per firing through GateContext::touch() instead — the
+  // static list then holds only the writes of its other gates.
+  const std::size_t n_timed = activities_.size();
+  std::vector<std::vector<std::uint32_t>> writes(n_timed +
+                                                 instantaneous_.size());
+  std::vector<std::uint8_t> writes_declared(writes.size(), 1);
+  std::vector<std::uint8_t> dynamic(writes.size(), 0);
+  std::vector<std::uint32_t> always_timed;
+  always_inst_.clear();
+
+  const auto id_of = [&](const PlacePtr& place) {
+    const auto [it, inserted] = place_ids_.emplace(
+        place.get(), static_cast<std::uint32_t>(place_deps.size()));
+    if (inserted) place_deps.emplace_back();
+    return it->second;
+  };
+  const auto add_unique = [](std::vector<std::uint32_t>& v, std::uint32_t id) {
+    if (std::find(v.begin(), v.end(), id) == v.end()) v.push_back(id);
+  };
+
+  const auto index_activity = [&](const Activity& a, bool timed,
+                                  std::uint32_t index) {
+    // Enabling depends on the input-gate predicates, so the read set is
+    // the union of the input gates' declared reads; one undeclared input
+    // gate makes the activity's enabling opaque (re-evaluate always).
+    // The write set unions the input functions' and every case's output
+    // gates' declared writes; one undeclared gate makes the firing's
+    // effect opaque (full re-scan after it fires).
+    const std::size_t slot = timed ? index : n_timed + index;
+    bool reads_declared = true;
+    bool declared = true;
+    bool dyn = false;
+    std::vector<std::uint32_t> reads;
+    // A dynamic-writes gate keeps its static write set out of the fired
+    // dirty list: the per-firing touch() reports stand in for it. The
+    // places still get ids so touch lookups resolve.
+    const auto add_writes = [&](const GateAccess& fp) {
+      if (fp.dynamic_writes) {
+        dyn = true;
+        for (const PlacePtr& p : fp.writes) id_of(p);
+      } else {
+        for (const PlacePtr& p : fp.writes) add_unique(writes[slot], id_of(p));
+      }
+    };
+    for (const InputGate& gate : a.input_gates()) {
+      if (!gate.footprint.declared) {
+        reads_declared = false;
+        declared = false;
+        continue;
+      }
+      for (const PlacePtr& p : gate.footprint.reads) add_unique(reads, id_of(p));
+      add_writes(gate.footprint);
+    }
+    for (const Case& c : a.cases()) {
+      for (const OutputGate& gate : c.output_gates) {
+        if (!gate.footprint.declared) {
+          declared = false;
+          continue;
+        }
+        add_writes(gate.footprint);
+      }
+    }
+    writes_declared[slot] = declared ? 1 : 0;
+    dynamic[slot] = (dyn && declared) ? 1 : 0;
+    if (!reads_declared) {
+      // Kept out of place_deps so each activity is evaluated at most
+      // once per round through the dirty sets.
+      (timed ? always_timed : always_inst_).push_back(index);
+      return;
+    }
+    for (const std::uint32_t place : reads) {
+      auto& deps = place_deps[place];
+      add_unique(timed ? deps.timed : deps.inst, index);
+    }
+  };
+
+  for (std::uint32_t t = 0; t < n_timed; ++t) {
+    index_activity(*activities_[t], true, t);
+  }
+  for (std::uint32_t j = 0; j < instantaneous_.size(); ++j) {
+    index_activity(*instantaneous_[j], false, j);
+  }
+
+  touch_lookup_.assign(compiled_->place_count(), kNoPlaceId);
+  for (const auto& [place, id] : place_ids_) {
+    const std::uint32_t cid = place->compiled_id();
+    if (cid != PlaceBase::kNoCompiledId && cid < touch_lookup_.size()) {
+      touch_lookup_[cid] = id;
+    }
+  }
+
+  // Pack the dependents into sparse runs: sorted, one run per non-zero
+  // 64-bit word, duplicates folded.
   dep_runs_.clear();
-  timed_dirty_.assign(activities_.size());
+  timed_dirty_.assign(n_timed);
   inst_dirty_.assign(instantaneous_.size());
-  // Dependent ids are gathered into these scratch lists and packed into
-  // runs: sorted, one run per non-zero 64-bit word, duplicates folded.
   std::vector<std::uint32_t> timed_ids;
   std::vector<std::uint32_t> inst_ids;
   const auto pack = [](std::vector<std::uint32_t>& ids,
@@ -168,136 +237,35 @@ void Simulator::build_dep_runs() {
     return span;
   };
   const auto add_place = [&](std::uint32_t place) {
-    const PlaceDeps& deps = place_deps_[place];
+    const PlaceDeps& deps = place_deps[place];
     timed_ids.insert(timed_ids.end(), deps.timed.begin(), deps.timed.end());
     inst_ids.insert(inst_ids.end(), deps.inst.begin(), deps.inst.end());
   };
 
   place_spans_.clear();
-  place_spans_.reserve(place_deps_.size());
-  for (std::uint32_t p = 0; p < place_deps_.size(); ++p) {
+  place_spans_.reserve(place_deps.size());
+  for (std::uint32_t p = 0; p < place_deps.size(); ++p) {
     add_place(p);
     place_spans_.push_back(span_of_ids());
   }
   fired_deps_.clear();
-  fired_deps_.reserve(activities_.size() + instantaneous_.size());
-  for (std::uint32_t t = 0; t < activities_.size(); ++t) {
-    timed_ids.push_back(t);  // the fired activity always gets a fresh look
-    for (const std::uint32_t place : timed_writes_[t]) add_place(place);
+  fired_deps_.reserve(writes.size());
+  for (std::uint32_t slot = 0; slot < writes.size(); ++slot) {
+    // The fired activity always gets a fresh look: a timed one may still
+    // be enabled and must re-activate even if it reads nothing.
+    if (slot < n_timed) {
+      timed_ids.push_back(slot);
+    } else {
+      inst_ids.push_back(static_cast<std::uint32_t>(slot - n_timed));
+    }
+    for (const std::uint32_t place : writes[slot]) add_place(place);
     DepSpan span = span_of_ids();
-    span.writes_declared = timed_writes_declared_[t];
-    span.dynamic = timed_dynamic_[t];
-    fired_deps_.push_back(span);
-  }
-  for (std::uint32_t j = 0; j < instantaneous_.size(); ++j) {
-    inst_ids.push_back(j);
-    for (const std::uint32_t place : inst_writes_[j]) add_place(place);
-    DepSpan span = span_of_ids();
-    span.writes_declared = inst_writes_declared_[j];
-    span.dynamic = inst_dynamic_[j];
+    span.writes_declared = writes_declared[slot];
+    span.dynamic = dynamic[slot];
     fired_deps_.push_back(span);
   }
   always_timed_runs_.clear();
-  timed_ids = always_timed_;
-  pack(timed_ids, always_timed_runs_);
-}
-
-void Simulator::build_touch_lookup() {
-  touch_lookup_.assign(compiled_->place_count(), kNoPlaceId);
-  for (const auto& [place, id] : place_ids_) {
-    const std::uint32_t cid = place->compiled_id();
-    if (cid != PlaceBase::kNoCompiledId && cid < touch_lookup_.size()) {
-      touch_lookup_[cid] = id;
-    }
-  }
-}
-
-void Simulator::build_dependency_index() {
-  place_deps_.clear();
-  place_ids_.clear();
-  timed_writes_.assign(activities_.size(), {});
-  inst_writes_.assign(instantaneous_.size(), {});
-  timed_writes_declared_.assign(activities_.size(), 1);
-  inst_writes_declared_.assign(instantaneous_.size(), 1);
-  timed_dynamic_.assign(activities_.size(), 0);
-  inst_dynamic_.assign(instantaneous_.size(), 0);
-  always_timed_.clear();
-  always_inst_.clear();
-
-  const auto id_of = [&](const PlacePtr& place) {
-    const auto [it, inserted] = place_ids_.emplace(
-        place.get(), static_cast<std::uint32_t>(place_deps_.size()));
-    if (inserted) place_deps_.emplace_back();
-    return it->second;
-  };
-  const auto add_unique = [](std::vector<std::uint32_t>& v, std::uint32_t id) {
-    if (std::find(v.begin(), v.end(), id) == v.end()) v.push_back(id);
-  };
-
-  const auto index_activity = [&](const Activity& a, bool timed,
-                                  std::uint32_t index) {
-    // Enabling depends on the input-gate predicates, so the read set is
-    // the union of the input gates' declared reads; one undeclared input
-    // gate makes the activity's enabling opaque (re-evaluate always).
-    // The write set unions the input functions' and every case's output
-    // gates' declared writes; one undeclared gate makes the firing's
-    // effect opaque (full re-scan after it fires).
-    bool reads_declared = true;
-    bool writes_declared = true;
-    bool dynamic = false;
-    std::vector<std::uint32_t> reads;
-    auto& writes = timed ? timed_writes_[index] : inst_writes_[index];
-    // A dynamic-writes gate keeps its static write set out of the fired
-    // dirty list: the per-firing touch() reports stand in for it. The
-    // places still get ids so touch lookups resolve.
-    const auto add_writes = [&](const GateAccess& fp) {
-      if (fp.dynamic_writes) {
-        dynamic = true;
-        for (const PlacePtr& p : fp.writes) id_of(p);
-      } else {
-        for (const PlacePtr& p : fp.writes) add_unique(writes, id_of(p));
-      }
-    };
-    for (const InputGate& gate : a.input_gates()) {
-      if (!gate.footprint.declared) {
-        reads_declared = false;
-        writes_declared = false;
-        continue;
-      }
-      for (const PlacePtr& p : gate.footprint.reads) add_unique(reads, id_of(p));
-      add_writes(gate.footprint);
-    }
-    for (const Case& c : a.cases()) {
-      for (const OutputGate& gate : c.output_gates) {
-        if (!gate.footprint.declared) {
-          writes_declared = false;
-          continue;
-        }
-        add_writes(gate.footprint);
-      }
-    }
-    (timed ? timed_writes_declared_ : inst_writes_declared_)[index] =
-        writes_declared ? 1 : 0;
-    (timed ? timed_dynamic_ : inst_dynamic_)[index] =
-        (dynamic && writes_declared) ? 1 : 0;
-    if (!reads_declared) {
-      // Kept out of place_deps_ so the settle-round merge sees each
-      // activity at most twice (dirty + always), never more.
-      (timed ? always_timed_ : always_inst_).push_back(index);
-      return;
-    }
-    for (const std::uint32_t place : reads) {
-      auto& deps = place_deps_[place];
-      add_unique(timed ? deps.timed : deps.inst, index);
-    }
-  };
-
-  for (std::uint32_t t = 0; t < activities_.size(); ++t) {
-    index_activity(*activities_[t], true, t);
-  }
-  for (std::uint32_t j = 0; j < instantaneous_.size(); ++j) {
-    index_activity(*instantaneous_[j], false, j);
-  }
+  pack(always_timed, always_timed_runs_);
 }
 
 void Simulator::build_trace_write_lists() {
@@ -371,35 +339,21 @@ void Simulator::advance_time(Time to) {
 }
 
 void Simulator::schedule(std::uint32_t timed_index) {
-  Activity& activity = *activities_[timed_index];
-  if (compiled_ != nullptr) {
-    TimedHot& hot = timed_hot_[timed_index];
-    // Deterministic delays skip the virtual sample: the stream is
-    // untouched because Deterministic::sample never draws.
-    const Time delay = hot.det_delay >= 0 ? hot.det_delay
-                       : hot.delay != nullptr ? hot.delay->sample(rng_)
-                                              : activity.sample_delay(rng_);
-    if (delay < 0) {
-      throw std::logic_error("Simulator: negative delay sampled for activity " +
-                             activity.name());
-    }
-    hot.scheduled = 1;
-    cal_push(
-        Event{now_ + delay, seq_++, hot.activation, hot.priority, timed_index});
-    return;
-  }
-  const Time delay = activity.sample_delay(rng_);
+  TimedHot& hot = timed_hot_[timed_index];
+  // Deterministic delays skip the virtual sample: the stream is
+  // untouched because Deterministic::sample never draws.
+  const Time delay =
+      hot.det_delay >= 0 ? hot.det_delay : hot.delay->sample(rng_);
   if (delay < 0) {
     throw std::logic_error("Simulator: negative delay sampled for activity " +
-                           activity.name());
+                           activities_[timed_index]->name());
   }
-  activity.mark_scheduled();
-  queue_push(Event{now_ + delay, seq_++, activity.activation_id(),
-                   activity.priority(), timed_index});
+  hot.scheduled = 1;
+  cal_push(
+      Event{now_ + delay, seq_++, hot.activation, hot.priority, timed_index});
 }
 
-bool Simulator::eval_enabled(const Activity& a) {
-  if (sanitizer_ == nullptr) return a.enabled();
+bool Simulator::sanitized_enabled(const Activity& a) {
   sanitizer_->begin_predicate(a);
   const bool en = a.enabled();
   sanitizer_->end_predicate();
@@ -408,115 +362,49 @@ bool Simulator::eval_enabled(const Activity& a) {
 
 void Simulator::transition_timed(std::uint32_t timed_index) {
   const bool en = eval_timed(timed_index);
-  const bool was_scheduled = timed_scheduled(timed_index);
-  if (en && !was_scheduled) {
+  TimedHot& hot = timed_hot_[timed_index];
+  if (en && hot.scheduled == 0) {
     schedule(timed_index);
-  } else if (!en && was_scheduled) {
-    cancel_timed(timed_index);
+  } else if (!en && hot.scheduled != 0) {
+    ++hot.activation;  // abort: the queued event goes stale
+    hot.scheduled = 0;
   } else {
     return;  // no transition: nothing to trace
   }
-  Activity& a = *activities_[timed_index];
   // Emitted only on actual activate/abort transitions — a re-evaluation
   // that changes nothing is silent, which is what keeps the stream
   // identical across incremental enabling on/off.
   if (trace_ != nullptr && trace_->wants(TraceCategory::kEnabling)) {
     trace_->on_event(TraceEvent{TraceCategory::kEnabling, now_, events_,
-                                a.name(), en ? 1 : 0, 0, {}});
+                                activities_[timed_index]->name(), en ? 1 : 0,
+                                0, {}});
   }
-}
-
-void Simulator::mark_timed(std::uint32_t timed_index) {
-  if (timed_marked_[timed_index]) return;
-  timed_marked_[timed_index] = 1;
-  dirty_timed_.push_back(timed_index);
-}
-
-void Simulator::mark_inst(std::uint32_t inst_index) {
-  if (inst_marked_[inst_index]) return;
-  inst_marked_[inst_index] = 1;
-  dirty_inst_.push_back(inst_index);
-}
-
-void Simulator::mark_place(std::uint32_t place_id) {
-  const PlaceDeps& deps = place_deps_[place_id];
-  for (const std::uint32_t t : deps.timed) mark_timed(t);
-  for (const std::uint32_t j : deps.inst) mark_inst(j);
 }
 
 void Simulator::mark_fired(bool timed, std::uint32_t index) {
-  if (!use_incremental_ || dirty_all_) return;
-  if (fast_dirty_) {
-    const DepSpan& deps =
-        fired_deps_[timed ? index : activities_.size() + index];
-    if (deps.writes_declared == 0) {
-      dirty_all_ = true;  // unknown write set: rescan everything
-      return;
-    }
-    // Precompiled dependents: a few run ORs replace the per-place
-    // dependency loops of the vector path.
-    mark_span(deps);
-    if (deps.dynamic != 0) {
-      for (const PlaceBase* p : touched_) {
-        const std::uint32_t cid = p->compiled_id();
-        std::uint32_t id = kNoPlaceId;
-        if (cid < touch_lookup_.size()) {
-          id = touch_lookup_[cid];
-        } else {
-          const auto it = place_ids_.find(p);
-          if (it != place_ids_.end()) id = it->second;
-        }
-        if (id != kNoPlaceId) mark_span(place_spans_[id]);
-      }
-    }
-    return;
-  }
-  // The fired activity itself always needs a fresh look: a timed one may
-  // still be enabled and must re-activate even if it reads nothing.
-  if (timed) {
-    mark_timed(index);
-  } else {
-    mark_inst(index);
-  }
-  const bool declared = timed ? timed_writes_declared_[index] != 0
-                              : inst_writes_declared_[index] != 0;
-  if (!declared) {
+  if (dirty_all_) return;  // full rescan pending (always in full-scan mode)
+  const DepSpan& deps = fired_deps_[timed ? index : activities_.size() + index];
+  if (deps.writes_declared == 0) {
     dirty_all_ = true;  // unknown write set: rescan everything
     return;
   }
-  for (const std::uint32_t place :
-       timed ? timed_writes_[index] : inst_writes_[index]) {
-    mark_place(place);
-  }
-  // Dynamic gates: dirty exactly the places this firing reported. Under
-  // the compiled engine the dense compiled id resolves the place with an
-  // array load instead of a hash probe.
-  if (timed ? timed_dynamic_[index] != 0 : inst_dynamic_[index] != 0) {
+  mark_span(deps);
+  if (deps.dynamic != 0) {
+    // Dynamic gates: dirty exactly the places this firing reported. The
+    // dense compiled id resolves a place with an array load; the hash is
+    // the fallback for places the compiled model does not number.
     for (const PlaceBase* p : touched_) {
       const std::uint32_t cid = p->compiled_id();
+      std::uint32_t id = kNoPlaceId;
       if (cid < touch_lookup_.size()) {
-        const std::uint32_t id = touch_lookup_[cid];
-        if (id != kNoPlaceId) mark_place(id);
+        id = touch_lookup_[cid];
       } else {
         const auto it = place_ids_.find(p);
-        if (it != place_ids_.end()) mark_place(it->second);
+        if (it != place_ids_.end()) id = it->second;
       }
+      if (id != kNoPlaceId) mark_span(place_spans_[id]);
     }
   }
-}
-
-void Simulator::clear_dirty() {
-  if (fast_dirty_ && dirty_all_) {
-    // The drain zeroes words as it consumes them; only a full rescan
-    // can leave stale bits behind.
-    timed_dirty_.clear();
-    inst_dirty_.clear();
-  }
-  for (const std::uint32_t t : dirty_timed_) timed_marked_[t] = 0;
-  for (const std::uint32_t j : dirty_inst_) inst_marked_[j] = 0;
-  dirty_timed_.clear();
-  dirty_inst_.clear();
-  dirty_all_ = false;
 }
 
 void Simulator::complete(Activity& activity, bool timed,
@@ -539,11 +427,8 @@ void Simulator::complete(Activity& activity, bool timed,
     ctx.sanitizer = sanitizer_.get();
     sanitizer_->begin_firing(activity, ctx);
   }
-  const std::size_t case_index =
-      compiled_ != nullptr
-          ? compiled_->fire(
-                *(timed ? timed_compiled_[index] : inst_compiled_[index]), ctx)
-          : activity.fire(ctx);
+  const std::size_t case_index = compiled_->fire(
+      *(timed ? timed_compiled_[index] : inst_compiled_[index]), ctx);
   if (sanitizer_ != nullptr) sanitizer_->end_firing();
   if (!impulse_begin_.empty()) {
     const std::size_t slot = timed ? index : activities_.size() + index;
@@ -576,7 +461,7 @@ void Simulator::settle() {
   stats::ScopedPhaseTimer timer(&profile_, stats::Phase::kSettle);
   std::uint32_t chain = 0;
   for (;;) {
-    if (!use_incremental_ || dirty_all_) {
+    if (dirty_all_) {
       // Full scan: re-evaluate every activity's enabling.
       for (std::uint32_t t = 0; t < activities_.size(); ++t) {
         transition_timed(t);
@@ -585,11 +470,19 @@ void Simulator::settle() {
         set_inst_enabled(j, eval_inst(j));
       }
       enabling_evals_ += activities_.size() + instantaneous_.size();
-      if (use_incremental_) clear_dirty();
-    } else if (fast_dirty_) {
-      // Drain ascending set bits of (dirty | always) — the same activity
-      // sequence the vector merge below produces, without the sort, the
-      // merge branches, or the marked-flag bookkeeping.
+      if (use_incremental_) {
+        // The drain zeroes words as it consumes them; only a full rescan
+        // leaves stale bits behind.
+        timed_dirty_.clear();
+        inst_dirty_.clear();
+        dirty_all_ = false;
+      }
+    } else {
+      // Incremental: drain the ascending set bits of (dirty | always) —
+      // the activities whose read set intersects the places written
+      // since the last round, plus the undeclared-footprint ones. Timed
+      // re-evaluation runs in ascending activity order, the order a full
+      // scan consumes the RNG in, so trajectories match it bit for bit.
       timed_dirty_.mark(always_timed_runs_.data(),
                         always_timed_runs_.data() + always_timed_runs_.size());
       enabling_evals_ += timed_dirty_.drain(
@@ -600,75 +493,21 @@ void Simulator::settle() {
         set_inst_enabled(j, eval_inst(j));
       }
       enabling_evals_ += always_inst_.size();
-      clear_dirty();
-    } else {
-      // Incremental: only activities whose read set intersects the places
-      // written since the last round, plus the undeclared-footprint ones.
-      // Timed re-evaluation must run in ascending activity order — the
-      // order schedule() consumes the RNG in a full scan — to keep
-      // trajectories bit-identical.
-      std::sort(dirty_timed_.begin(), dirty_timed_.end());
-      std::size_t di = 0;
-      std::size_t ai = 0;
-      while (di < dirty_timed_.size() || ai < always_timed_.size()) {
-        std::uint32_t t;
-        if (ai == always_timed_.size()) {
-          t = dirty_timed_[di++];
-        } else if (di == dirty_timed_.size()) {
-          t = always_timed_[ai++];
-        } else if (dirty_timed_[di] < always_timed_[ai]) {
-          t = dirty_timed_[di++];
-        } else if (always_timed_[ai] < dirty_timed_[di]) {
-          t = always_timed_[ai++];
-        } else {
-          t = dirty_timed_[di++];
-          ++ai;
-        }
-        transition_timed(t);
-        ++enabling_evals_;
-      }
-      for (const std::uint32_t j : dirty_inst_) {
-        set_inst_enabled(j, eval_inst(j));
-      }
-      for (const std::uint32_t j : always_inst_) {
-        set_inst_enabled(j, eval_inst(j));
-      }
-      enabling_evals_ += dirty_inst_.size() + always_inst_.size();
-      clear_dirty();
     }
-    // Fire the highest-priority enabled instantaneous activity, if any
-    // (cached flags; ties resolve to the lowest index, as the full
-    // predicate scan always did). The object engine keeps the scan as
-    // the reference cost.
-    Activity* next = nullptr;
-    std::uint32_t next_index = 0;
-    if (compiled_ != nullptr) {
-      // First set bit of the priority-ordered enabled set: identical
-      // winner to the reference scan (max priority, lowest index on
-      // ties), found through the summary word without walking every
-      // instantaneous activity.
-      const std::uint32_t pos = inst_enabled_bits_.first();
-      if (pos == SummaryBits::kNone) return;
-      next_index = inst_prio_order_[pos];
-      next = instantaneous_[next_index];
-    } else {
-      for (std::uint32_t j = 0; j < instantaneous_.size(); ++j) {
-        if (!inst_enabled_[j]) continue;
-        if (next == nullptr ||
-            instantaneous_[j]->priority() > next->priority()) {
-          next = instantaneous_[j];
-          next_index = j;
-        }
-      }
-    }
-    if (next == nullptr) return;
+    // Fire the highest-priority enabled instantaneous activity, if any:
+    // the first set bit of the priority-ordered enabled set (max
+    // priority, lowest index on ties), found through the summary word.
+    const std::uint32_t pos = inst_enabled_bits_.first();
+    if (pos == SummaryBits::kNone) return;
+    const std::uint32_t next = inst_prio_order_[pos];
     if (++chain > config_.max_instantaneous_chain) {
       throw std::logic_error(
-          "Simulator: instantaneous livelock (activity " + next->name() +
-          " still enabled after " + std::to_string(chain) + " zero-time firings)");
+          "Simulator: instantaneous livelock (activity " +
+          instantaneous_[next]->name() + " still enabled after " +
+          std::to_string(chain) + " zero-time firings)");
     }
-    complete(*next, /*timed=*/false, next_index);
-    mark_fired(false, next_index);
+    complete(*instantaneous_[next], /*timed=*/false, next);
+    mark_fired(false, next);
   }
 }
 
@@ -676,18 +515,12 @@ void Simulator::reset() {
   if (model_ == nullptr) {
     throw std::logic_error("Simulator: reset() before set_model()");
   }
-  if (compiled_ != nullptr) {
-    // Block-copy restore: one memcpy of the initial-marking image (plus
-    // pod-vector spans); no per-place virtual reset() calls.
-    compiled_->reset_markings();
-    for (Activity* a : activities_) a->reset_state();
-    for (Activity* a : instantaneous_) a->reset_state();
-    for (TimedHot& hot : timed_hot_) {
-      ++hot.activation;  // invalidate any still-queued events
-      hot.scheduled = 0;
-    }
-  } else {
-    model_->reset_marking();
+  // Block-copy restore: one memcpy of the initial-marking image (plus
+  // pod-vector spans); no per-place virtual reset() calls.
+  compiled_->reset_markings();
+  for (TimedHot& hot : timed_hot_) {
+    ++hot.activation;  // invalidate any still-queued events
+    hot.scheduled = 0;
   }
   for (RewardVariable* r : rewards_) r->reset();
   profile_.reset();
@@ -696,14 +529,7 @@ void Simulator::reset() {
       !trace_writes_built_) {
     build_trace_write_lists();
   }
-  if (compiled_ != nullptr) {
-    cal_clear();
-  } else {
-    queue_.clear();
-    // Steady state holds ~one live event per timed activity plus aborted
-    // stragglers; reserving up front keeps the hot loop reallocation-free.
-    queue_.reserve(4 * activities_.size() + 16);
-  }
+  cal_clear();
   now_ = 0.0;
   seq_ = 0;
   events_ = 0;
@@ -714,14 +540,13 @@ void Simulator::reset() {
   if (config_.verify_footprints) {
     if (sanitizer_ == nullptr) {
       // The invariant analysis fixes y·m0 from the live marking, which
-      // reset_marking() above just restored to the initial one.
+      // reset_markings() above just restored to the initial one.
       sanitizer_ = std::make_unique<FootprintSanitizer>(
           analyze::analyze_invariants(*model_));
     }
     sanitizer_->on_reset();
   }
   ScopedListener guard(sanitizer_.get());
-  clear_dirty();
   dirty_all_ = true;  // initial activations: everything gets a first look
   settle();
 }
@@ -740,25 +565,22 @@ RunStats Simulator::advance_until(Time t) {
   }
   ScopedListener guard(sanitizer_.get());
   const Time horizon = std::min(t, config_.end_time);
-  const bool calendar = compiled_ != nullptr;
-  while ((calendar ? cal_size_ != 0 : !queue_.empty()) && !hit_event_cap_) {
+  while (cal_size_ != 0 && !hit_event_cap_) {
     if (events_ >= config_.max_events) {
       hit_event_cap_ = true;
       break;
     }
-    const Event ev = calendar ? cal_peek() : queue_.front();
+    const Event ev = cal_peek();
     if (ev.time > horizon) break;
-    if (calendar) {
-      cal_pop();
-    } else {
-      queue_pop_front();
-    }
-    if (ev.activation != timed_activation(ev.timed_index)) {
+    cal_pop();
+    TimedHot& hot = timed_hot_[ev.timed_index];
+    if (ev.activation != hot.activation) {
       ++aborted_events_;  // stale activation: lazily cancelled
       continue;
     }
     advance_time(ev.time);
-    cancel_timed(ev.timed_index);  // consume this activation
+    ++hot.activation;  // consume this activation
+    hot.scheduled = 0;
     complete(*activities_[ev.timed_index], /*timed=*/true, ev.timed_index);
     mark_fired(true, ev.timed_index);
     settle();

@@ -7,7 +7,7 @@
 //    (race/abort semantics). Firing while still enabled re-activates it.
 //  * Instantaneous activities complete in zero time as soon as they are
 //    enabled; among simultaneously enabled instantaneous activities the
-//    highest priority fires first.
+//    highest priority fires first (lowest index on ties).
 //  * Timed completions at the same instant fire in descending priority,
 //    FIFO within equal priority.
 //  * After every completion the enabling of affected activities is
@@ -24,6 +24,14 @@
 //    bridge) that leaves most slots untouched on a given firing does not
 //    dirty them. See docs/PERFORMANCE.md.
 //
+// There is one runtime: set_model() lowers the model into the compiled
+// kernel (san/compiled.hpp) and the event loop runs off its arena, an
+// event calendar, and bitset dirty/enabled sets. The oracle for these
+// rules is a deliberately naive interpreter on the test side
+// (tests/testing/reference_interpreter.hpp): closures only, a binary
+// heap, a full enabling scan every round. Every trajectory must match it
+// bit for bit.
+//
 // Rate rewards are accrued over each dwell interval before the marking
 // changes; impulse rewards on each completion, dispatched through a
 // per-activity index so a completion visits only its own impulses.
@@ -32,7 +40,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <string_view>
 #include <type_traits>
 #include <unordered_map>
 #include <vector>
@@ -49,19 +56,12 @@
 
 namespace vcpusim::san {
 
-/// Which runtime executes the model. Both engines produce bit-identical
-/// trajectories (same RNG streams, traces, enabling-eval counts); the
-/// object graph is the reference implementation, the compiled kernel
-/// (san/compiled.hpp) is the fast path.
+/// The runtime that executes the model. The compiled kernel is the only
+/// one; the type and SimulatorConfig::engine remain so existing callers
+/// that assign the field keep compiling.
 enum class Engine : std::uint8_t {
-  kObjectGraph = 0,  ///< walk shared_ptr places / std::function closures
-  kCompiled,         ///< arena markings + flat dispatch tables
+  kCompiled,  ///< arena markings + flat dispatch tables
 };
-
-const char* engine_name(Engine engine) noexcept;
-/// Parse "object" / "compiled" (the CLI flag and scenario-key spelling);
-/// false on anything else.
-bool parse_engine(std::string_view text, Engine& out) noexcept;
 
 struct SimulatorConfig {
   /// Past 2^53 a double clock no longer advances by a unit tick.
@@ -96,10 +96,10 @@ struct SimulatorConfig {
   /// thread-local null test per access. Inspect results through
   /// footprint_report().
   bool verify_footprints = false;
-  /// Execution engine (see Engine). set_model() compiles the model when
-  /// kCompiled; under verify_footprints the compiled kernel keeps its
-  /// arena but dispatches every gate through the closure trampoline so
-  /// the sanitizer sees each place access.
+  /// Has a single value and is not read (see Engine). set_model()
+  /// always compiles; under verify_footprints the kernel keeps its arena
+  /// but dispatches every gate through the closure trampoline so the
+  /// sanitizer sees each place access.
   Engine engine = Engine::kCompiled;
 };
 
@@ -184,11 +184,8 @@ class Simulator {
   /// Accumulated phase timings (empty unless config.profile).
   const stats::PhaseProfile& profile() const noexcept { return profile_; }
 
-  /// True when this simulator runs the compiled kernel.
-  bool compiled_engine() const noexcept { return compiled_ != nullptr; }
-
-  /// Compile-time census of the lowered model (all-zero under the
-  /// object-graph engine).
+  /// Compile-time census of the lowered model (all-zero before
+  /// set_model()).
   KernelStats kernel_stats() const noexcept {
     return compiled_ != nullptr ? compiled_->stats() : KernelStats{};
   }
@@ -220,10 +217,9 @@ class Simulator {
     return sanitizer_ != nullptr ? &sanitizer_->analysis() : nullptr;
   }
 
- private:
-  /// 32 bytes: the activity is reached through timed_index, so a heap
-  /// sift moves half a cache line per level instead of carrying a
-  /// redundant pointer.
+  /// One pending timed completion. 32 bytes: the activity is reached
+  /// through timed_index, so a calendar slot packs two events per cache
+  /// line.
   struct Event {
     Time time;
     std::uint64_t seq;  // FIFO tie-break
@@ -232,8 +228,11 @@ class Simulator {
     std::uint32_t timed_index;  // into activities_
   };
   static_assert(std::is_trivially_copyable_v<Event>,
-                "Event must stay a trivially copyable POD: the queue is a "
-                "flat vector churned in the hot loop");
+                "Event must stay a trivially copyable POD: calendar slots "
+                "are flat vectors churned in the hot loop");
+  /// Fire order as a priority-queue comparator: `a` fires after `b`.
+  /// A strict total order (seq is unique), so the next event is
+  /// unambiguous whatever the queue structure.
   struct EventOrder {
     bool operator()(const Event& a, const Event& b) const noexcept {
       if (a.time != b.time) return a.time > b.time;
@@ -242,55 +241,19 @@ class Simulator {
     }
   };
 
-  /// queue_ is a 4-ary heap under EventOrder (front = next event). The
-  /// wider node halves the sift-down depth of a binary heap and keeps
-  /// sibling comparisons inside one cache line of 32-byte events. Pop
-  /// order is identical to any other heap: EventOrder is a strict total
-  /// order (seq is unique), so "the minimum" is unambiguous.
-  void queue_push(const Event& ev) {
-    std::size_t i = queue_.size();
-    queue_.push_back(ev);
-    while (i > 0) {
-      const std::size_t parent = (i - 1) >> 2;
-      if (!EventOrder{}(queue_[parent], ev)) break;  // parent fires first
-      queue_[i] = queue_[parent];
-      i = parent;
-    }
-    queue_[i] = ev;
-  }
-  void queue_pop_front() {
-    const std::size_t n = queue_.size() - 1;
-    if (n > 0) {
-      const Event last = queue_[n];
-      std::size_t i = 0;
-      for (;;) {
-        const std::size_t first = 4 * i + 1;
-        if (first >= n) break;
-        std::size_t best = first;
-        const std::size_t end = first + 4 < n ? first + 4 : n;
-        for (std::size_t c = first + 1; c < end; ++c) {
-          if (EventOrder{}(queue_[best], queue_[c])) best = c;
-        }
-        if (!EventOrder{}(last, queue_[best])) break;
-        queue_[i] = queue_[best];
-        i = best;
-      }
-      queue_[i] = last;
-    }
-    queue_.pop_back();
-  }
-  /// Compiled-engine event calendar: a ring of kCalendarSlots unit-width
-  /// time buckets. The virtualization models are clock-driven (unit
-  /// Clock activities, integer load durations), so a bucket is exactly
-  /// one tick's worth of events: pops are a cursor bump and the bulk
-  /// push pattern — same time, same priority, ascending seq — lands at
-  /// the slot tail as an O(1) append. Events beyond the ring window park
-  /// in an overflow list and are folded in as the window advances.
+ private:
+  /// Event calendar: a ring of kCalendarSlots unit-width time buckets.
+  /// The virtualization models are clock-driven (unit Clock activities,
+  /// integer load durations), so a bucket is exactly one tick's worth of
+  /// events: pops are a cursor bump and the bulk push pattern — same
+  /// time, same priority, ascending seq — lands at the slot tail as an
+  /// O(1) append. Events beyond the ring window park in an overflow list
+  /// and are folded in as the window advances.
   ///
-  /// Pop order is bit-identical to the heap's: EventOrder's primary key
-  /// is the time, so every event of bucket b fires before any event of
-  /// bucket b+1, and within a slot events are kept sorted ascending by
-  /// fire order (seq uniqueness makes the order total).
+  /// Pop order is exactly EventOrder's: the time is its primary key, so
+  /// every event of bucket b fires before any event of bucket b+1, and
+  /// within a slot events are kept sorted ascending by fire order (seq
+  /// uniqueness makes the order total).
   static constexpr std::size_t kCalendarSlots = 128;  // power of two
   struct CalSlot {
     std::vector<Event> events;  ///< ascending fire order from `head`
@@ -382,10 +345,10 @@ class Simulator {
     cal_base_ = 0;
   }
 
-  /// Dense per-timed-activity scheduling state (compiled engine): the
-  /// fields the event loop touches per transition, packed so the whole
-  /// table stays L1-resident. `delay` is the activity's distribution,
-  /// reached without the sample_delay indirection.
+  /// Dense per-timed-activity scheduling state: the fields the event
+  /// loop touches per transition, packed so the whole table stays
+  /// L1-resident. `delay` is the activity's distribution, reached
+  /// without the sample_delay indirection.
   struct TimedHot {
     std::uint64_t activation = 0;
     const stats::Distribution* delay = nullptr;
@@ -394,12 +357,6 @@ class Simulator {
     double det_delay = -1.0;
     std::int32_t priority = 0;
     std::uint8_t scheduled = 0;
-  };
-  /// Dependents of one place: the activities whose enabling may change
-  /// when its marking does.
-  struct PlaceDeps {
-    std::vector<std::uint32_t> timed;
-    std::vector<std::uint32_t> inst;
   };
   /// One non-zero word of a dependent bitmask. A dependent set is stored
   /// as its runs only, so marking it costs its non-zero words, not the
@@ -499,62 +456,37 @@ class Simulator {
     std::uint32_t impulse;  ///< index into reward->impulses()
   };
 
-  void build_dependency_index();
-  void build_touch_lookup();
-  /// Evaluate one activity's enabling, wrapped in the sanitizer's
-  /// predicate scope when sanitizing.
-  bool eval_enabled(const Activity& a);
-  /// Engine-dispatched enabling checks. Sanitized runs go through
-  /// eval_enabled (the sanitizer brackets the closure evaluation);
-  /// otherwise the compiled kernel evaluates straight off the arena.
+  /// Build the footprint-driven enabling index: the touch lookup, the
+  /// opaque-read lists, and the sparse dependent runs of every activity
+  /// and place.
+  void build_enabling_index();
+  /// Enabling checks. Sanitized runs go through the activity's closures
+  /// inside the sanitizer's predicate scope; otherwise the compiled
+  /// kernel evaluates straight off the arena.
+  bool sanitized_enabled(const Activity& a);
   bool eval_timed(std::uint32_t timed_index) {
-    if (sanitizer_ != nullptr || compiled_ == nullptr) {
-      return eval_enabled(*activities_[timed_index]);
+    if (sanitizer_ != nullptr) {
+      return sanitized_enabled(*activities_[timed_index]);
     }
     return compiled_->enabled(*timed_compiled_[timed_index]);
   }
   bool eval_inst(std::uint32_t inst_index) {
-    if (sanitizer_ != nullptr || compiled_ == nullptr) {
-      return eval_enabled(*instantaneous_[inst_index]);
+    if (sanitizer_ != nullptr) {
+      return sanitized_enabled(*instantaneous_[inst_index]);
     }
     return compiled_->enabled(*inst_compiled_[inst_index]);
   }
-  /// Engine-dispatched scheduling state. The compiled engine keeps the
-  /// activation/scheduled bookkeeping in the dense timed_hot_ array (one
-  /// L1-resident block instead of a cache line per heap-allocated
-  /// Activity); the object engine keeps the Activity-resident state as
-  /// the reference path. The transition logic is identical either way.
-  bool timed_scheduled(std::uint32_t timed_index) const {
-    return compiled_ != nullptr ? timed_hot_[timed_index].scheduled != 0
-                                : activities_[timed_index]->scheduled();
-  }
-  std::uint64_t timed_activation(std::uint32_t timed_index) const {
-    return compiled_ != nullptr ? timed_hot_[timed_index].activation
-                                : activities_[timed_index]->activation_id();
-  }
-  void cancel_timed(std::uint32_t timed_index) {
-    if (compiled_ != nullptr) {
-      TimedHot& hot = timed_hot_[timed_index];
-      ++hot.activation;
-      hot.scheduled = 0;
-    } else {
-      activities_[timed_index]->cancel_activation();
-    }
-  }
-  /// Update one cached instantaneous-enabling flag (and, on the
-  /// compiled engine, its bit in the priority-ordered enabled set).
+  /// Update one cached instantaneous-enabling flag and its bit in the
+  /// priority-ordered enabled set.
   void set_inst_enabled(std::uint32_t inst_index, bool enabled) {
     const std::uint8_t v = enabled ? 1 : 0;
-    if (inst_enabled_[inst_index] != v) {
-      inst_enabled_[inst_index] = v;
-      if (!inst_prio_pos_.empty()) {
-        const std::uint32_t pos = inst_prio_pos_[inst_index];
-        if (enabled) {
-          inst_enabled_bits_.set(pos);
-        } else {
-          inst_enabled_bits_.reset(pos);
-        }
-      }
+    if (inst_enabled_[inst_index] == v) return;
+    inst_enabled_[inst_index] = v;
+    const std::uint32_t pos = inst_prio_pos_[inst_index];
+    if (enabled) {
+      inst_enabled_bits_.set(pos);
+    } else {
+      inst_enabled_bits_.reset(pos);
     }
   }
   /// Declared-write lists for kMarking trace events (per activity, from
@@ -573,10 +505,6 @@ class Simulator {
   void transition_timed(std::uint32_t timed_index);
   /// Record the marking changes of a completed activity in the dirty set.
   void mark_fired(bool timed, std::uint32_t index);
-  /// Precompute the sparse dependent runs of every activity and place
-  /// for the compiled engine's bitmask dirty tracking (from the enabling
-  /// index).
-  void build_dep_runs();
   void mark_span(const DepSpan& span) {
     const MaskRun* runs = dep_runs_.data();
     timed_dirty_.mark(runs + span.begin, runs + span.split);
@@ -585,10 +513,6 @@ class Simulator {
   /// File every registered impulse under its activity (rebuilt when the
   /// model or the reward set changes, never per replication).
   void build_impulse_index();
-  void mark_place(std::uint32_t place_id);
-  void mark_timed(std::uint32_t timed_index);
-  void mark_inst(std::uint32_t inst_index);
-  void clear_dirty();
 
   SimulatorConfig config_;
   ComposedModel* model_ = nullptr;
@@ -599,7 +523,7 @@ class Simulator {
   stats::PhaseProfile profile_;
   stats::PhaseProfile compile_profile_;
 
-  // --- compiled kernel (config.engine == Engine::kCompiled) ----------
+  // --- compiled kernel -------------------------------------------------
   std::unique_ptr<CompiledModel> compiled_;
   /// Compiled programs parallel to activities_ / instantaneous_.
   std::vector<const CompiledModel::CompiledActivity*> timed_compiled_;
@@ -609,17 +533,11 @@ class Simulator {
   /// places no gate reads); replaces the hash probe on touch() reports.
   static constexpr std::uint32_t kNoPlaceId = 0xffff'ffffu;
   std::vector<std::uint32_t> touch_lookup_;
-  /// Sparse dirty tracking (compiled engine, incremental enabling, not
-  /// sanitizing): one bit per activity. Firing ORs the activity's
-  /// precompiled dependent runs into the dirty sets instead of walking
-  /// per-place dependency vectors, and the settle loop drains the set
-  /// bits in ascending order — the exact order the vector merge
-  /// produced, so trajectories and eval counts are bit-identical.
-  /// Instantaneous evaluations are pure predicate reads (no RNG, no
-  /// trace), so their ascending order is interchangeable with the vector
-  /// path's insertion order. Off under the sanitizer, which observes
-  /// closure evaluation directly.
-  bool fast_dirty_ = false;
+  /// Sparse dirty tracking (incremental enabling): one bit per activity.
+  /// Firing ORs the activity's precompiled dependent runs into the dirty
+  /// sets, and the settle loop drains the set bits in ascending order —
+  /// the order a full scan visits them, so the RNG draws of activations
+  /// happen in the same sequence either way.
   SummaryBits timed_dirty_;  ///< drained every settle round
   SummaryBits inst_dirty_;
   std::vector<MaskRun> dep_runs_;
@@ -643,8 +561,7 @@ class Simulator {
   bool trace_writes_built_ = false;
   std::vector<std::vector<const PlaceBase*>> timed_trace_writes_;
   std::vector<std::vector<const PlaceBase*>> inst_trace_writes_;
-  std::vector<Event> queue_;  // object engine: 4-ary heap under EventOrder
-  // Compiled engine: bucketed event calendar (see cal_* above).
+  // Bucketed event calendar (see cal_* above).
   std::vector<CalSlot> cal_slots_;
   std::vector<Event> cal_overflow_;
   std::size_t cal_size_ = 0;
@@ -661,36 +578,22 @@ class Simulator {
 
   // --- footprint-driven enabling index (built by set_model) ----------
   bool use_incremental_ = false;
-  std::vector<PlaceDeps> place_deps_;
+  /// Enabling-index place id of every place a gate footprint names; the
+  /// fallback for touch() reports on places without a compiled id.
   std::unordered_map<const PlaceBase*, std::uint32_t> place_ids_;
-  std::vector<std::vector<std::uint32_t>> timed_writes_;  // place ids
-  std::vector<std::vector<std::uint32_t>> inst_writes_;
-  std::vector<std::uint8_t> timed_writes_declared_;
-  std::vector<std::uint8_t> inst_writes_declared_;
-  /// Activities with a dynamic-writes gate (GateAccess::dynamic_writes):
-  /// after such an activity fires, the places it reported through
-  /// GateContext::touch() are dirtied instead of the gate's full static
-  /// write set. timed_writes_ / inst_writes_ then hold only the writes of
-  /// the activity's non-dynamic gates.
-  std::vector<std::uint8_t> timed_dynamic_;
-  std::vector<std::uint8_t> inst_dynamic_;
   std::vector<const PlaceBase*> touched_;  // per-firing touch collector
-  /// Activities with an undeclared read footprint: re-evaluated on every
-  /// settle round (ascending index, disjoint from place_deps_ entries).
-  std::vector<std::uint32_t> always_timed_;
+  /// Instantaneous activities with an undeclared read footprint:
+  /// re-evaluated on every settle round.
   std::vector<std::uint32_t> always_inst_;
 
   // --- per-round dirty state -----------------------------------------
+  /// Re-evaluate everything next round. Stays set in full-scan mode
+  /// (incremental_enabling off).
   bool dirty_all_ = true;
-  std::vector<std::uint32_t> dirty_timed_;
-  std::vector<std::uint32_t> dirty_inst_;
-  std::vector<std::uint8_t> timed_marked_;
-  std::vector<std::uint8_t> inst_marked_;
   std::vector<std::uint8_t> inst_enabled_;  // cached enabling flags
-  /// Compiled engine: the enabled flags again, as a bitmask over
-  /// priority-ordered positions ((priority desc, index asc), so the
-  /// lowest set position is exactly the activity the reference
-  /// selection scan picks). Empty on the object engine.
+  /// The enabled flags again, as a bitmask over priority-ordered
+  /// positions ((priority desc, index asc)), so the lowest set position
+  /// is exactly the selection winner.
   SummaryBits inst_enabled_bits_;
   std::vector<std::uint32_t> inst_prio_order_;  // position -> inst index
   std::vector<std::uint32_t> inst_prio_pos_;    // inst index -> position

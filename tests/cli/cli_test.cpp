@@ -75,11 +75,16 @@ TEST(Cli, AlgorithmsVerbUnknownFlagFails) {
 
 TEST(Cli, UnknownFlagFails) {
   // The flag that opted out of the system pool is gone with its
-  // build-per-replication path.
-  for (const char* flag : {"--frobnicate", "--rebuild-systems"}) {
-    const auto r = run({flag});
+  // build-per-replication path, and the engine selector with the second
+  // engine.
+  const std::vector<std::vector<const char*>> inputs = {
+      {"--frobnicate"}, {"--rebuild-systems"}, {"--engine", "object"}};
+  for (const auto& args : inputs) {
+    const std::string flag = args.front();
+    const auto r = run(args);
     EXPECT_EQ(r.exit_code, 1) << flag;
-    EXPECT_NE(r.err.find("unknown option"), std::string::npos) << r.err;
+    EXPECT_NE(r.err.find("unknown option '" + flag + "'"), std::string::npos)
+        << r.err;
   }
 }
 

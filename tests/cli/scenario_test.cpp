@@ -105,12 +105,19 @@ TEST(Scenario, ErrorsCarryLineNumbers) {
     EXPECT_NE(std::string(e.what()).find("bogus_key"), std::string::npos);
   }
   // The key that opted out of the system pool is gone with its
-  // build-per-replication path.
+  // build-per-replication path, and the engine key with the second
+  // engine.
   try {
     parse("pcpus = 2\nreuse_systems = off\n[vm]\nvcpus = 1\n");
     FAIL() << "expected throw";
   } catch (const std::invalid_argument& e) {
     EXPECT_STREQ(e.what(), "line 2: unknown key 'reuse_systems'");
+  }
+  try {
+    parse("pcpus = 2\nengine = object\n[vm]\nvcpus = 1\n");
+    FAIL() << "expected throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "line 2: unknown key 'engine'");
   }
 }
 

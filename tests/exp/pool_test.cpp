@@ -184,7 +184,6 @@ Counters simulator_reference(const RunSpec& spec,
     config.end_time = spec.end_time;
     config.seed = san::replication_seed(spec.base_seed, rep);
     config.incremental_enabling = spec.incremental_enabling;
-    config.engine = spec.engine;
     san::Simulator sim(config);
     sim.set_model(*system->model);
     for (auto& b : bound) {

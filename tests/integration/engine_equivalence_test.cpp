@@ -1,8 +1,9 @@
-// Whole-stack engine equivalence: every shipped scheduling algorithm,
-// run under the compiled kernel and under the object-graph reference,
-// must produce bit-identical trajectories — same firing sequence, same
-// event/evaluation counts, same reward integrals, same job totals —
-// for every combination of incremental enabling and workload depth.
+// Whole-stack oracle check: every shipped scheduling algorithm, run on
+// the compiled kernel and on the reference interpreter
+// (tests/testing/reference_interpreter.hpp), must produce bit-identical
+// trajectories — same firing and enabling streams, same event and
+// aborted-event counts, same reward integrals, same job totals — with
+// incremental enabling on and off and at every workload depth.
 // This is the system-level closure of tests/san/compiled_engine_test.cpp:
 // the vm model exercises dynamic write footprints, compositional
 // scheduler-bridge gates, uniform-int workload draws, and structured
@@ -15,24 +16,26 @@
 
 #include "san/simulator.hpp"
 #include "sched/registry.hpp"
-#include "trace/sinks.hpp"
+#include "testing/oracle.hpp"
+#include "testing/reference_interpreter.hpp"
 #include "vm/metrics.hpp"
 #include "vm/system_builder.hpp"
 
 namespace vcpusim {
 namespace {
 
+using testing::ReferenceInterpreter;
+
 struct Outcome {
-  std::vector<trace::OwnedTraceEvent> fires;
-  san::RunStats stats;
+  testing::OracleRun run;
   double avail, util, pcpu;
   std::int64_t jobs;
   double energy = 0.0;  ///< DVFS runs only (integral of sum_p f*V^2)
 };
 
-Outcome run_stack(const std::string& algorithm, san::Engine engine,
-                  bool incremental, int jobs_per_vcpu, std::uint64_t seed,
-                  bool dvfs = false) {
+template <class Runner>
+Outcome run_stack(const std::string& algorithm, bool incremental,
+                  int jobs_per_vcpu, std::uint64_t seed, bool dvfs = false) {
   auto config_vm = vm::make_symmetric_config(2, {2, 1}, jobs_per_vcpu);
   config_vm.dvfs.enabled = dvfs;  // default ladder when on
   auto system =
@@ -40,101 +43,88 @@ Outcome run_stack(const std::string& algorithm, san::Engine engine,
   auto avail = vm::mean_vcpu_availability(*system, 50.0);
   auto util = vm::mean_vcpu_utilization(*system, 50.0);
   auto pcpu = vm::pcpu_utilization(*system, 50.0);
-
+  std::vector<san::RewardVariable*> rewards = {avail.get(), util.get(),
+                                               pcpu.get()};
   std::shared_ptr<san::RewardVariable> energy;
-  if (dvfs) energy = vm::energy_rate(*system, 50.0);
+  if (dvfs) {
+    energy = vm::energy_rate(*system, 50.0);
+    rewards.push_back(energy.get());
+  }
 
   san::SimulatorConfig config;
   config.end_time = 400.0;
   config.seed = seed;
-  config.engine = engine;
   config.incremental_enabling = incremental;
-  san::Simulator sim(config);
-  trace::RingBufferSink rec(0, san::trace_bit(san::TraceCategory::kFire));
-  sim.set_trace(&rec);
-  sim.add_reward(*avail);
-  sim.add_reward(*util);
-  sim.add_reward(*pcpu);
-  if (energy != nullptr) sim.add_reward(*energy);
-  sim.set_model(*system->model);
-  const auto stats = sim.run();
-  return {rec.entries(), stats,
+  testing::OracleRun run =
+      testing::run_recorded<Runner>(*system->model, config, rewards);
+  return {std::move(run),
           avail->time_averaged(400.0), util->time_averaged(400.0),
           pcpu->time_averaged(400.0), vm::total_completed_jobs(*system),
           energy != nullptr ? energy->accumulated() : 0.0};
 }
 
-void expect_identical(const Outcome& obj, const Outcome& comp,
-                      const std::string& label) {
-  ASSERT_FALSE(obj.fires.empty()) << label;
-  EXPECT_EQ(obj.fires, comp.fires) << label;
-  EXPECT_EQ(obj.stats.events, comp.stats.events) << label;
-  EXPECT_EQ(obj.stats.enabling_evals, comp.stats.enabling_evals) << label;
-  EXPECT_EQ(obj.stats.aborted_events, comp.stats.aborted_events) << label;
-  EXPECT_EQ(obj.jobs, comp.jobs) << label;
-  EXPECT_DOUBLE_EQ(obj.avail, comp.avail) << label;
-  EXPECT_DOUBLE_EQ(obj.util, comp.util) << label;
-  EXPECT_DOUBLE_EQ(obj.pcpu, comp.pcpu) << label;
-  EXPECT_DOUBLE_EQ(obj.energy, comp.energy) << label;
+/// Kernel with `incremental` enabling against the reference on the
+/// same system, seed and horizon.
+void expect_matches_reference(const std::string& algorithm, bool incremental,
+                              int jobs, std::uint64_t seed, bool dvfs,
+                              const std::string& label) {
+  const Outcome comp =
+      run_stack<san::Simulator>(algorithm, incremental, jobs, seed, dvfs);
+  const Outcome ref =
+      run_stack<ReferenceInterpreter>(algorithm, incremental, jobs, seed, dvfs);
+  ASSERT_FALSE(ref.run.events.empty()) << label;
+  testing::expect_same_trajectory(comp.run, ref.run, label);
+  EXPECT_EQ(comp.jobs, ref.jobs) << label;
+  // Bitwise: both runs accrue the same dwell intervals in the same order.
+  EXPECT_EQ(comp.avail, ref.avail) << label;
+  EXPECT_EQ(comp.util, ref.util) << label;
+  EXPECT_EQ(comp.pcpu, ref.pcpu) << label;
+  EXPECT_EQ(comp.energy, ref.energy) << label;
 }
 
 TEST(EngineEquivalence, EveryAlgorithmBitIdenticalAcrossEngines) {
   for (const auto& name : sched::builtin_algorithms()) {
     for (const int jobs : {1, 8}) {
-      const std::string label = name + "/jobs=" + std::to_string(jobs);
-      const auto obj =
-          run_stack(name, san::Engine::kObjectGraph, true, jobs, 99);
-      const auto comp = run_stack(name, san::Engine::kCompiled, true, jobs, 99);
-      expect_identical(obj, comp, label);
+      expect_matches_reference(name, true, jobs, 99, false,
+                               name + "/jobs=" + std::to_string(jobs));
     }
   }
 }
 
 TEST(EngineEquivalence, FullScanModeBitIdenticalAcrossEngines) {
-  // With incremental enabling off, both engines fall back to full
-  // rescans after every firing; the compiled fast paths (fired masks,
-  // enabled bitmasks, the event calendar) must not leak into this mode's
-  // evaluation accounting.
+  // With incremental enabling off the kernel re-scans everything after
+  // every firing, like the reference; the calendar, the arena and the
+  // enabled bitset must not leak into this mode's trajectory.
   for (const auto& name : sched::builtin_algorithms()) {
-    const auto obj = run_stack(name, san::Engine::kObjectGraph, false, 4, 7);
-    const auto comp = run_stack(name, san::Engine::kCompiled, false, 4, 7);
-    expect_identical(obj, comp, name + "/full-scan");
+    expect_matches_reference(name, false, 4, 7, false, name + "/full-scan");
   }
 }
 
 TEST(EngineEquivalence, DvfsSystemsBitIdenticalAcrossEnginesAndJobs) {
   // The DVFS lowering (Freq_Levels vector marking, per-VCPU Service_Scale
   // places, the bridge's frequency-switch pass, the energy reward's
-  // dynamic reads) must survive the compiled engine and be independent
+  // dynamic reads) must survive the compiled kernel and be independent
   // of the workload depth, for frequency-driving and oblivious
   // algorithms alike.
   for (const std::string name : {"dvfs-cc", "dvfs-la", "rebalance", "credit"}) {
     for (const int jobs : {1, 8}) {
-      const std::string label = name + "/dvfs/jobs=" + std::to_string(jobs);
-      const auto obj = run_stack(name, san::Engine::kObjectGraph, true, jobs,
-                                 99, /*dvfs=*/true);
-      const auto comp = run_stack(name, san::Engine::kCompiled, true, jobs,
-                                  99, /*dvfs=*/true);
-      expect_identical(obj, comp, label);
+      expect_matches_reference(name, true, jobs, 99, true,
+                               name + "/dvfs/jobs=" + std::to_string(jobs));
     }
     // Full-scan enabling walks the identical DVFS trajectory too.
-    const auto obj = run_stack(name, san::Engine::kObjectGraph, false, 4, 7,
-                               /*dvfs=*/true);
-    const auto comp = run_stack(name, san::Engine::kCompiled, false, 4, 7,
-                                /*dvfs=*/true);
-    expect_identical(obj, comp, name + "/dvfs/full-scan");
+    expect_matches_reference(name, false, 4, 7, true,
+                             name + "/dvfs/full-scan");
   }
 }
 
 TEST(EngineEquivalence, IncrementalTogglesAgreeWithinCompiledEngine) {
-  // The incremental index is a pure optimization in both engines: the
-  // trajectory (though not enabling_evals) must match full-scan mode.
-  const auto inc = run_stack("credit", san::Engine::kCompiled, true, 4, 31);
-  const auto full = run_stack("credit", san::Engine::kCompiled, false, 4, 31);
-  EXPECT_EQ(inc.fires, full.fires);
-  EXPECT_EQ(inc.stats.events, full.stats.events);
+  // The incremental index is a pure optimization: the trajectory (though
+  // not enabling_evals) must match full-scan mode.
+  const auto inc = run_stack<san::Simulator>("credit", true, 4, 31);
+  const auto full = run_stack<san::Simulator>("credit", false, 4, 31);
+  testing::expect_same_trajectory(inc.run, full.run, "credit");
   EXPECT_EQ(inc.jobs, full.jobs);
-  EXPECT_LT(inc.stats.enabling_evals, full.stats.enabling_evals);
+  EXPECT_LT(inc.run.stats.enabling_evals, full.run.stats.enabling_evals);
 }
 
 }  // namespace

@@ -49,6 +49,7 @@ std::uint64_t trace_digest(const trace::RingBufferSink& log) {
 
 struct TraceRun {
   std::uint64_t events = 0;
+  std::uint64_t enabling_evals = 0;
   std::uint64_t digest = 0;
   std::size_t footprint_errors = 0;
   std::string report_text;
@@ -69,6 +70,7 @@ TraceRun run_trace(const std::string& algorithm, bool spinlock,
   const auto stats = sim.run();
   TraceRun run;
   run.events = stats.events;
+  run.enabling_evals = stats.enabling_evals;
   run.digest = trace_digest(log);
   if (verify_footprints) {
     const san::FootprintReport* report = sim.footprint_report();
@@ -91,6 +93,10 @@ TEST(SanitizerIdentity, EveryAlgorithmIsTrajectoryIdenticalAndClean) {
           << "sanitizer perturbed the event count";
       EXPECT_EQ(checked.digest, plain.digest)
           << "sanitizer perturbed the event trajectory";
+      // Sanitized runs take the same sparse dirty-set path as plain ones,
+      // so they re-evaluate exactly the same activities.
+      EXPECT_EQ(checked.enabling_evals, plain.enabling_evals)
+          << "sanitizer changed the enabling re-evaluation path";
       EXPECT_EQ(checked.footprint_errors, 0u) << checked.report_text;
     }
   }

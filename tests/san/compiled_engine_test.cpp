@@ -1,6 +1,7 @@
 // Compiled-kernel contract tests (san/compiled.hpp): bit-identical
-// trajectories against the object-graph reference on synthetic models
-// that exercise every lowering path — exact-effect deltas, compiled
+// trajectories against the reference interpreter
+// (tests/testing/reference_interpreter.hpp) on synthetic models that
+// exercise every lowering path — exact-effect deltas, compiled
 // predicate terms, probe terms, trampoline fallbacks, multi-case RNG
 // draws — plus the arena reset identity, the pod-vector restore recipe,
 // the event-calendar edge cases (far-future overflow, fractional times,
@@ -15,20 +16,27 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "san/compiled.hpp"
 #include "san/simulator.hpp"
 #include "stats/distribution.hpp"
+#include "testing/oracle.hpp"
+#include "testing/reference_interpreter.hpp"
 #include "trace/sinks.hpp"
 
 namespace vcpusim::san {
 namespace {
 
-SimulatorConfig config_with(Engine engine, Time end, std::uint64_t seed) {
+using testing::OracleRun;
+using testing::ReferenceInterpreter;
+using testing::expect_same_trajectory;
+using testing::run_recorded;
+
+SimulatorConfig config_with(Time end, std::uint64_t seed) {
   SimulatorConfig c;
-  c.engine = engine;
   c.end_time = end;
   c.seed = seed;
   return c;
@@ -62,8 +70,8 @@ struct MixedModel {
         {"p", [buffer](GateContext&) { buffer->mut() += 1; },
          with_exact_effect(access({}, {buffer}), {{buffer, "", +1}})});
 
-    // Weighted cases: the case draw must consume the RNG stream
-    // identically in both engines.
+    // Weighted cases: the case draw must consume the RNG stream exactly
+    // as Activity::fire does.
     auto& branch =
         sub.add_timed_activity("branch", stats::make_uniform(0.5, 1.5));
     InputGate gate{"nonempty", [buffer]() { return buffer->get() > 0; },
@@ -95,7 +103,7 @@ struct MixedModel {
     watch.add_output_gate({"w", [](GateContext&) {}, access({})});
 
     // Undeclared gate: trampoline dispatch AND an opaque write set
-    // (forces full rescans), both engines identically.
+    // (forces full rescans).
     auto& opaque =
         sub.add_timed_activity("opaque", stats::make_erlang(2, 0.7));
     opaque.add_output_gate(
@@ -104,49 +112,59 @@ struct MixedModel {
   }
 };
 
-struct RunResult {
-  std::vector<trace::OwnedTraceEvent> fires;
-  RunStats stats;
+/// One run of a fresh MixedModel on `Runner`, plus its final marking.
+struct MixedRun {
+  OracleRun run;
   std::int64_t buffer, done, opaque_hits;
 };
 
-RunResult run_mixed(Engine engine, Time end, std::uint64_t seed,
-                    bool incremental = true) {
+template <class Runner>
+MixedRun run_mixed(Time end, std::uint64_t seed, bool incremental = true) {
   auto m = MixedModel::build();
-  auto config = config_with(engine, end, seed);
+  auto config = config_with(end, seed);
   config.incremental_enabling = incremental;
-  Simulator sim(config);
-  trace::RingBufferSink rec(0, trace_bit(TraceCategory::kFire));
-  sim.set_trace(&rec);
-  sim.set_model(*m.model);
-  const auto stats = sim.run();
-  return {rec.entries(), stats, m.buffer->get(), m.done->get(),
-          m.opaque_hits->get()};
+  OracleRun run = run_recorded<Runner>(*m.model, config);
+  return {std::move(run), m.buffer->get(), m.done->get(), m.opaque_hits->get()};
 }
 
-TEST(CompiledEngine, TrajectoryBitIdenticalToObjectGraph) {
+void expect_same_mixed(const MixedRun& kernel, const MixedRun& reference,
+                       const std::string& label) {
+  ASSERT_FALSE(reference.run.events.empty()) << label;
+  expect_same_trajectory(kernel.run, reference.run, label);
+  EXPECT_EQ(kernel.buffer, reference.buffer) << label;
+  EXPECT_EQ(kernel.done, reference.done) << label;
+  EXPECT_EQ(kernel.opaque_hits, reference.opaque_hits) << label;
+}
+
+TEST(CompiledEngine, TrajectoryBitIdenticalToReference) {
   for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
-    const auto obj = run_mixed(Engine::kObjectGraph, 200.0, seed);
-    const auto comp = run_mixed(Engine::kCompiled, 200.0, seed);
-    ASSERT_FALSE(obj.fires.empty());
-    EXPECT_EQ(obj.fires, comp.fires) << "seed " << seed;
-    EXPECT_EQ(obj.stats.events, comp.stats.events);
-    EXPECT_EQ(obj.stats.enabling_evals, comp.stats.enabling_evals);
-    EXPECT_EQ(obj.stats.aborted_events, comp.stats.aborted_events);
-    EXPECT_EQ(obj.buffer, comp.buffer);
-    EXPECT_EQ(obj.done, comp.done);
-    EXPECT_EQ(obj.opaque_hits, comp.opaque_hits);
+    expect_same_mixed(run_mixed<Simulator>(200.0, seed),
+                      run_mixed<ReferenceInterpreter>(200.0, seed),
+                      "seed " + std::to_string(seed));
   }
 }
 
 TEST(CompiledEngine, IncrementalOffMatchesToo) {
-  // The compiled fast paths (fired-mask dirty tracking, the enabled
-  // bitmasks) are all gated on incremental enabling; full-scan mode must
-  // still match the reference exactly.
-  const auto obj = run_mixed(Engine::kObjectGraph, 150.0, 5, false);
-  const auto comp = run_mixed(Engine::kCompiled, 150.0, 5, false);
-  EXPECT_EQ(obj.fires, comp.fires);
-  EXPECT_EQ(obj.stats.enabling_evals, comp.stats.enabling_evals);
+  // The sparse dirty sets are gated on incremental enabling; full-scan
+  // mode must match the reference exactly too.
+  expect_same_mixed(run_mixed<Simulator>(150.0, 5, false),
+                    run_mixed<ReferenceInterpreter>(150.0, 5), "full scan");
+}
+
+/// A fresh `build()` model run on the kernel and on the interpreter;
+/// `build` returns (model, count place) and the final counts must match.
+template <class Build>
+void expect_calendar_matches(const Build& build, Time end, std::uint64_t seed,
+                             std::size_t min_events) {
+  auto [km, kcount] = build();
+  const OracleRun kernel = run_recorded<Simulator>(*km, config_with(end, seed));
+  auto [rm, rcount] = build();
+  const OracleRun reference =
+      run_recorded<ReferenceInterpreter>(*rm, config_with(end, seed));
+  const std::string label = "seed " + std::to_string(seed);
+  ASSERT_GT(reference.stats.events, min_events) << label;
+  expect_same_trajectory(kernel, reference, label);
+  EXPECT_EQ(kcount->get(), rcount->get()) << label;
 }
 
 TEST(CompiledEngine, CalendarHandlesFarFutureDelays) {
@@ -168,31 +186,15 @@ TEST(CompiledEngine, CalendarHandlesFarFutureDelays) {
     return std::make_pair(std::move(model), count);
   };
   for (const std::uint64_t seed : {3ull, 11ull}) {
-    auto [om, ocount] = build();
-    Simulator obj(config_with(Engine::kObjectGraph, 5000.0, seed));
-    trace::RingBufferSink orec(0, trace_bit(TraceCategory::kFire));
-    obj.set_trace(&orec);
-    obj.set_model(*om);
-    const auto ostats = obj.run();
-
-    auto [cm, ccount] = build();
-    Simulator comp(config_with(Engine::kCompiled, 5000.0, seed));
-    trace::RingBufferSink crec(0, trace_bit(TraceCategory::kFire));
-    comp.set_trace(&crec);
-    comp.set_model(*cm);
-    const auto cstats = comp.run();
-
-    ASSERT_GT(ostats.events, 10u);
-    EXPECT_EQ(ostats.events, cstats.events);
-    EXPECT_EQ(orec.entries(), crec.entries()) << "seed " << seed;
-    EXPECT_EQ(ocount->get(), ccount->get());
+    expect_calendar_matches(build, 5000.0, seed, 10);
   }
 }
 
 TEST(CompiledEngine, CalendarOrdersFractionalTimesWithinBucket) {
   // Exponential(4) packs many fractional completion times into each
-  // unit-width bucket; within-bucket ordering must stay EventOrder-
-  // exact (time, then priority, then FIFO seq).
+  // unit-width bucket, and quarter-tick clocks collide on the same ones;
+  // within-bucket ordering must stay EventOrder-exact (time, then
+  // priority, then FIFO seq).
   const auto build = [] {
     auto model = std::make_unique<ComposedModel>("frac");
     auto& sub = model->add_submodel("S");
@@ -204,39 +206,32 @@ TEST(CompiledEngine, CalendarOrdersFractionalTimesWithinBucket) {
       fast.add_output_gate({"f", [count](GateContext&) { count->mut() += 1; },
                             access({}, {count})});
     }
+    // Two clocks collide every half tick: the quarter clock re-queues
+    // after the half clock but outranks it, so it must be sorted ahead.
+    for (const auto& [name, period, priority] :
+         {std::tuple("half", 0.5, 0), std::tuple("quarter", 0.25, 1)}) {
+      auto& clock = sub.add_timed_activity(
+          name, stats::make_deterministic(period), priority);
+      clock.add_output_gate({"c", [count](GateContext&) { count->mut() += 1; },
+                             access({}, {count})});
+    }
     return std::make_pair(std::move(model), count);
   };
-  auto [om, ocount] = build();
-  Simulator obj(config_with(Engine::kObjectGraph, 50.0, 9));
-  trace::RingBufferSink orec(0, trace_bit(TraceCategory::kFire));
-  obj.set_trace(&orec);
-  obj.set_model(*om);
-  obj.run();
-
-  auto [cm, ccount] = build();
-  Simulator comp(config_with(Engine::kCompiled, 50.0, 9));
-  trace::RingBufferSink crec(0, trace_bit(TraceCategory::kFire));
-  comp.set_trace(&crec);
-  comp.set_model(*cm);
-  comp.run();
-
-  ASSERT_GT(orec.entries().size(), 100u);
-  EXPECT_EQ(orec.entries(), crec.entries());
-  EXPECT_EQ(ocount->get(), ccount->get());
+  expect_calendar_matches(build, 50.0, 9, 100);
 }
 
 TEST(CompiledEngine, AdvanceInStepsMatchesOneShot) {
   // The calendar keeps state across advance_until horizons (peeked but
   // unfired events stay queued); stepping must replay the one-shot run.
   auto one = MixedModel::build();
-  Simulator whole(config_with(Engine::kCompiled, 100.0, 13));
+  Simulator whole(config_with(100.0, 13));
   trace::RingBufferSink wrec(0, trace_bit(TraceCategory::kFire));
   whole.set_trace(&wrec);
   whole.set_model(*one.model);
   const auto wstats = whole.run();
 
   auto stepped = MixedModel::build();
-  Simulator steps(config_with(Engine::kCompiled, 100.0, 13));
+  Simulator steps(config_with(100.0, 13));
   trace::RingBufferSink srec(0, trace_bit(TraceCategory::kFire));
   steps.set_trace(&srec);
   steps.set_model(*stepped.model);
@@ -250,7 +245,7 @@ TEST(CompiledEngine, AdvanceInStepsMatchesOneShot) {
 
 TEST(CompiledEngine, ResetRestoresMarkingsWithoutPerPlaceResets) {
   auto m = MixedModel::build();
-  Simulator sim(config_with(Engine::kCompiled, 100.0, 2));
+  Simulator sim(config_with(100.0, 2));
   sim.set_model(*m.model);
   sim.run();
   ASSERT_NE(m.done->get(), 0);
@@ -262,20 +257,11 @@ TEST(CompiledEngine, ResetRestoresMarkingsWithoutPerPlaceResets) {
   EXPECT_EQ(m.buffer->get(), 0);
   EXPECT_EQ(m.done->get(), 0);
   EXPECT_EQ(m.opaque_hits->get(), 0);
-
-  // The object engine restores the same state through the virtual walk.
-  auto m2 = MixedModel::build();
-  Simulator obj(config_with(Engine::kObjectGraph, 100.0, 2));
-  obj.set_model(*m2.model);
-  obj.run();
-  const std::uint64_t obefore = PlaceBase::reset_count();
-  obj.reset(2);
-  EXPECT_GT(PlaceBase::reset_count(), obefore);
 }
 
 TEST(CompiledEngine, ResetWithSeedReplaysIdenticalReplication) {
   auto m = MixedModel::build();
-  Simulator sim(config_with(Engine::kCompiled, 80.0, 21));
+  Simulator sim(config_with(80.0, 21));
   trace::RingBufferSink rec(0, trace_bit(TraceCategory::kFire));
   sim.set_trace(&rec);
   sim.set_model(*m.model);
@@ -291,6 +277,16 @@ TEST(CompiledEngine, ResetWithSeedReplaysIdenticalReplication) {
   sim.advance_until(80.0);
   EXPECT_EQ(rec.entries(), first);
   EXPECT_EQ(m.done->get(), done_first);
+
+  // ...and both match the reference on a fresh model.
+  auto fresh = MixedModel::build();
+  ReferenceInterpreter reference(config_with(80.0, 21));
+  trace::RingBufferSink ref_rec(0, trace_bit(TraceCategory::kFire));
+  reference.set_trace(&ref_rec);
+  reference.set_model(*fresh.model);
+  reference.run();
+  EXPECT_EQ(ref_rec.entries(), first);
+  EXPECT_EQ(fresh.done->get(), done_first);
 }
 
 TEST(CompiledEngine, PodVectorMarkingRestoredOnReset) {
@@ -305,7 +301,7 @@ TEST(CompiledEngine, PodVectorMarkingRestoredOnReset) {
                          },
                          access({}, {vec})});
 
-  Simulator sim(config_with(Engine::kCompiled, 5.0, 1));
+  Simulator sim(config_with(5.0, 1));
   sim.set_model(cm);
   sim.run();
   EXPECT_EQ(vec->get(), (std::vector<std::int32_t>{6, 7, 8}));
@@ -316,16 +312,21 @@ TEST(CompiledEngine, PodVectorMarkingRestoredOnReset) {
 
 TEST(CompiledEngine, DoubleCompileThrows) {
   auto m = MixedModel::build();
-  Simulator first(config_with(Engine::kCompiled, 10.0, 1));
+  Simulator first(config_with(10.0, 1));
   first.set_model(*m.model);
-  Simulator second(config_with(Engine::kCompiled, 10.0, 1));
+  Simulator second(config_with(10.0, 1));
   EXPECT_THROW(second.set_model(*m.model), std::logic_error)
-      << "a model may be arena-bound by at most one engine at a time";
+      << "a model may be arena-bound by at most one simulator at a time";
+  EXPECT_THROW(second.reset(), std::logic_error)
+      << "a rejected model leaves the simulator without one";
 }
 
 TEST(CompiledEngine, KernelStatsCensusMatchesModel) {
   auto m = MixedModel::build();
-  Simulator sim(config_with(Engine::kCompiled, 10.0, 1));
+  Simulator sim(config_with(10.0, 1));
+  const KernelStats none = sim.kernel_stats();
+  EXPECT_EQ(none.places, 0u) << "no census before set_model";
+  EXPECT_EQ(none.arena_bytes, 0u);
   sim.set_model(*m.model);
   const KernelStats stats = sim.kernel_stats();
   EXPECT_EQ(stats.places, 3u);
@@ -336,13 +337,6 @@ TEST(CompiledEngine, KernelStatsCensusMatchesModel) {
   // opaque's undeclared gate.
   EXPECT_EQ(stats.compiled_gates, 4u);
   EXPECT_EQ(stats.trampoline_gates, 3u);
-
-  Simulator obj(config_with(Engine::kObjectGraph, 10.0, 1));
-  auto m2 = MixedModel::build();
-  obj.set_model(*m2.model);
-  const KernelStats none = obj.kernel_stats();
-  EXPECT_EQ(none.places, 0u);
-  EXPECT_EQ(none.arena_bytes, 0u);
 }
 
 // --- Bitset boundaries of the sparse dirty tracking --------------------
@@ -351,49 +345,28 @@ TEST(CompiledEngine, KernelStatsCensusMatchesModel) {
 // with a summary word per 64 words, so 64 and 4096 activities are the
 // sizes where a set spills into a new word and a new summary word. The
 // nets below straddle both and must run identically on the compiled
-// kernel (incremental and full-scan) and on the object engine.
-
-/// Fire stream and counters of one run.
-struct EngineRun {
-  std::vector<trace::OwnedTraceEvent> fires;
-  RunStats stats;
-};
+// kernel (incremental and full-scan) and on the reference interpreter.
 
 /// Run the model `build()` returns (a fresh one per run: a model is
-/// arena-bound by one engine at a time) on the compiled kernel with
-/// incremental enabling, on it in full-scan mode, and on the object
-/// engine in both modes, and check all four agree: the same kFire
-/// stream and aborted-event count everywhere, and the same enabling
-/// evals as the object engine in the same enabling mode.
+/// arena-bound by one simulator at a time) on the compiled kernel with
+/// incremental enabling, on it in full-scan mode, and on the reference
+/// interpreter, and check all three walk the same trajectory.
 template <class Build>
 void expect_engines_agree(const Build& build, Time end, std::uint64_t seed,
                           const std::string& label) {
-  const auto run = [&](Engine engine, bool incremental) {
+  const auto run = [&](bool reference, bool incremental) {
     auto model = build();
-    auto config = config_with(engine, end, seed);
+    auto config = config_with(end, seed);
     config.incremental_enabling = incremental;
-    Simulator sim(config);
-    trace::RingBufferSink rec(0, trace_bit(TraceCategory::kFire));
-    sim.set_trace(&rec);
-    sim.set_model(*model);
-    const RunStats stats = sim.run();
-    return EngineRun{rec.entries(), stats};
+    return reference ? run_recorded<ReferenceInterpreter>(*model, config)
+                     : run_recorded<Simulator>(*model, config);
   };
-  const EngineRun comp = run(Engine::kCompiled, true);
-  const EngineRun comp_full = run(Engine::kCompiled, false);
-  const EngineRun obj = run(Engine::kObjectGraph, true);
-  const EngineRun obj_full = run(Engine::kObjectGraph, false);
-  ASSERT_GT(comp.stats.events, 10u) << label;
-  EXPECT_EQ(comp.fires, obj.fires) << label;
-  EXPECT_EQ(comp.fires, comp_full.fires) << label;
-  EXPECT_EQ(comp.fires, obj_full.fires) << label;
-  EXPECT_EQ(comp.stats.enabling_evals, obj.stats.enabling_evals) << label;
-  EXPECT_EQ(comp_full.stats.enabling_evals, obj_full.stats.enabling_evals)
-      << label;
-  EXPECT_EQ(comp.stats.aborted_events, obj.stats.aborted_events) << label;
-  EXPECT_EQ(comp.stats.aborted_events, comp_full.stats.aborted_events)
-      << label;
-  EXPECT_EQ(comp.stats.aborted_events, obj_full.stats.aborted_events) << label;
+  const OracleRun comp = run(false, true);
+  const OracleRun comp_full = run(false, false);
+  const OracleRun reference = run(true, true);
+  ASSERT_GT(reference.stats.events, 10u) << label;
+  expect_same_trajectory(comp, reference, label + " incremental");
+  expect_same_trajectory(comp_full, reference, label + " full scan");
 }
 
 /// `timed` timed and `inst` instantaneous activities over a ring of
@@ -518,7 +491,7 @@ TEST(CompiledEngine, InstantaneousWinnerInLaterWordsAndSummaryWords) {
     // The descent itself: after each pulse, exactly the members in
     // descending order, and never the sweeper.
     auto model = build();
-    Simulator sim(config_with(Engine::kCompiled, 3.0, 5));
+    Simulator sim(config_with(3.0, 5));
     trace::RingBufferSink rec(0, trace_bit(TraceCategory::kFire));
     sim.set_trace(&rec);
     sim.set_model(*model);
@@ -572,7 +545,7 @@ TEST(CompiledEngine, OpaqueWriteFallsBackToFullScanThenSparse) {
 
   const auto evals = [&build](bool incremental) {
     auto model = build();
-    auto config = config_with(Engine::kCompiled, 12.0, 23);
+    auto config = config_with(12.0, 23);
     config.incremental_enabling = incremental;
     Simulator sim(config);
     sim.set_model(*model);
@@ -585,15 +558,51 @@ TEST(CompiledEngine, OpaqueWriteFallsBackToFullScanThenSparse) {
       << "sparse=" << sparse.enabling_evals << " full=" << full.enabling_evals;
 }
 
-TEST(CompiledEngine, EngineNamesRoundTrip) {
-  Engine e = Engine::kObjectGraph;
-  EXPECT_TRUE(parse_engine("compiled", e));
-  EXPECT_EQ(e, Engine::kCompiled);
-  EXPECT_TRUE(parse_engine("object", e));
-  EXPECT_EQ(e, Engine::kObjectGraph);
-  EXPECT_FALSE(parse_engine("jit", e));
-  EXPECT_STREQ(engine_name(Engine::kCompiled), "compiled");
-  EXPECT_STREQ(engine_name(Engine::kObjectGraph), "object");
+TEST(CompiledEngine, TouchOfPlaceOutsideModelFallsBackToHashLookup) {
+  // A dynamic gate may report a place that is not part of the model, so
+  // the compiled model gave it no dense id: the touch must still dirty
+  // its readers, through the hash lookup. The watcher below is enabled
+  // only by such touches.
+  const auto build = [] {
+    auto model = std::make_unique<ComposedModel>("outside");
+    auto& sub = model->add_submodel("O");
+    auto ext = std::make_shared<TokenPlace>("ext", 0);
+    auto seen = sub.add_place<std::int64_t>("seen", 0);
+    auto& bump =
+        sub.add_timed_activity("bump", stats::make_exponential(1.0));
+    bump.add_output_gate({"b",
+                          [ext](GateContext& ctx) {
+                            ext->mut() += 1;
+                            ctx.touch(ext.get());
+                          },
+                          access_dynamic({}, {ext})});
+    auto& watch =
+        sub.add_timed_activity("watch", stats::make_deterministic(0.25));
+    watch.add_input_gate({"odd", [ext]() { return ext->get() % 2 == 1; },
+                          nullptr, access({ext}), {}});
+    watch.add_output_gate(
+        {"w", [seen](GateContext&) { seen->mut() += 1; }, access({}, {seen})});
+    return model;
+  };
+  expect_engines_agree(build, 40.0, 3, "outside place");
+}
+
+TEST(CompiledEngine, NegativeDelayThrowsLikeReference) {
+  struct Negative final : stats::Distribution {
+    double sample(stats::Rng&) const override { return -1.0; }
+    double mean() const override { return -1.0; }
+    double variance() const override { return 0.0; }
+    std::string describe() const override { return "negative"; }
+  };
+  ComposedModel model("neg");
+  auto& sub = model.add_submodel("N");
+  sub.add_timed_activity("backwards", std::make_shared<Negative>());
+  Simulator sim(config_with(5.0, 1));
+  sim.set_model(model);
+  EXPECT_THROW(sim.run(), std::logic_error);
+  ReferenceInterpreter reference(config_with(5.0, 1));
+  reference.set_model(model);
+  EXPECT_THROW(reference.run(), std::logic_error);
 }
 
 }  // namespace

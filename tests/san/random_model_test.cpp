@@ -1,8 +1,9 @@
 // Randomized SAN model stress test: generate random place / activity /
 // gate graphs and require that every one is either rejected by the
 // static analyzer or simulates cleanly — no negative markings, settle
-// convergence, trajectory determinism across enabling modes. Runs under
-// the sanitizer CI legs like every other san test.
+// convergence, and the reference interpreter's trajectory in both
+// enabling modes. Runs under the sanitizer CI legs like every other san
+// test.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -14,6 +15,8 @@
 #include "san/simulator.hpp"
 #include "stats/distribution.hpp"
 #include "testing/helpers.hpp"
+#include "testing/oracle.hpp"
+#include "testing/reference_interpreter.hpp"
 
 namespace vcpusim::san {
 namespace {
@@ -131,32 +134,49 @@ TEST(RandomModelStress, AnalyzeRejectsOrSimulatesWithoutViolations) {
   EXPECT_GT(analyzed_clean, 10) << "rejected " << rejected << " models";
 }
 
+/// One run of the seed's random net on `Runner`: its trajectory and
+/// final marking.
+struct NetRun {
+  testing::OracleRun run;
+  std::vector<std::int64_t> marking;
+};
+
+template <class Runner>
+NetRun run_net(std::uint64_t seed, bool incremental) {
+  PropertyRng rng(seed);
+  RandomNet net(rng);
+  SimulatorConfig config;
+  config.end_time = 40.0;
+  config.seed = seed;
+  config.incremental_enabling = incremental;
+  NetRun out{testing::run_recorded<Runner>(net.model, config), {}};
+  for (const auto& place : net.places) out.marking.push_back(place->get());
+  return out;
+}
+
 TEST(RandomModelStress, TrajectoriesMatchAcrossEnablingModes) {
-  // For every random net that survives analysis, the final marking must
-  // not depend on whether the footprint-driven enabling index is used —
-  // even when declarations are partial (partial means conservative).
+  // For every random net that survives analysis, the kernel must walk
+  // the reference interpreter's trajectory whether or not the
+  // footprint-driven enabling index is used — even when declarations
+  // are partial (partial means conservative).
+  int compared = 0;
   for (std::uint64_t seed = 100; seed <= 130; ++seed) {
-    std::vector<std::vector<std::int64_t>> finals;
-    for (const bool incremental : {true, false}) {
+    {
       PropertyRng rng(seed);
       RandomNet net(rng);
-      if (analyze::Analyzer().analyze(net.model).errors() > 0) break;
-      SimulatorConfig config;
-      config.end_time = 40.0;
-      config.seed = seed;
-      config.incremental_enabling = incremental;
-      Simulator sim(config);
-      sim.set_model(net.model);
-      sim.run();
-      std::vector<std::int64_t> marking;
-      marking.reserve(net.places.size());
-      for (const auto& place : net.places) marking.push_back(place->get());
-      finals.push_back(std::move(marking));
+      if (analyze::Analyzer().analyze(net.model).errors() > 0) continue;
     }
-    if (finals.size() == 2) {
-      EXPECT_EQ(finals[0], finals[1]) << "seed " << seed;
+    ++compared;
+    const NetRun reference = run_net<testing::ReferenceInterpreter>(seed, true);
+    for (const bool incremental : {true, false}) {
+      const std::string label = "seed " + std::to_string(seed) +
+                                (incremental ? " incremental" : " full scan");
+      const NetRun kernel = run_net<Simulator>(seed, incremental);
+      testing::expect_same_trajectory(kernel.run, reference.run, label);
+      EXPECT_EQ(kernel.marking, reference.marking) << label;
     }
   }
+  EXPECT_GT(compared, 5);
 }
 
 TEST(RandomModelStress, ReplicationsAreReproducible) {

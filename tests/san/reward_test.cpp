@@ -4,10 +4,12 @@
 
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "san/simulator.hpp"
 #include "stats/distribution.hpp"
+#include "testing/reference_interpreter.hpp"
 
 namespace vcpusim::san {
 namespace {
@@ -152,9 +154,18 @@ TEST(RewardVariable, AccruesTailUpToEndTime) {
 //
 // Simulator::add_reward files each impulse under its activity; a
 // completion runs exactly that activity's impulses, in reward
-// registration order and then add_impulse order, on either engine.
+// registration order and then add_impulse order. Each case runs on the
+// kernel and on the reference interpreter, which finds an activity's
+// impulses by scanning every reward.
 
-constexpr Engine kEngines[] = {Engine::kCompiled, Engine::kObjectGraph};
+/// Call `body(runner, label)` with the kernel and with the reference
+/// interpreter; the body names the runner type as
+/// `typename decltype(runner)::type`.
+template <class Body>
+void on_kernel_and_reference(const Body& body) {
+  body(std::type_identity<Simulator>{}, "kernel");
+  body(std::type_identity<testing::ReferenceInterpreter>{}, "reference");
+}
 
 /// A unit clock feeding tokens to an instantaneous drain: per tick one
 /// timed and one instantaneous completion.
@@ -177,15 +188,15 @@ struct ClockDrain {
   }
 };
 
-SimulatorConfig until(Engine engine, Time end) {
+SimulatorConfig until(Time end) {
   SimulatorConfig c;
-  c.engine = engine;
   c.end_time = end;
   return c;
 }
 
 TEST(ImpulseDispatch, SameActivityRunsInRegistrationOrder) {
-  for (const Engine engine : kEngines) {
+  on_kernel_and_reference([](auto runner, const char* label) {
+    using Runner = typename decltype(runner)::type;
     ClockDrain net;
     std::vector<std::string> calls;
     const auto log = [&calls](const char* tag) {
@@ -199,7 +210,7 @@ TEST(ImpulseDispatch, SameActivityRunsInRegistrationOrder) {
     first.add_impulse(net.clock, log("first.b"));
     auto second = RewardVariable::impulse_only("second");
     second.add_impulse(net.clock, log("second"));
-    Simulator sim(until(engine, 2.0));
+    Runner sim(until(2.0));
     sim.set_model(net.model);
     sim.add_reward(first);
     sim.add_reward(second);
@@ -207,29 +218,31 @@ TEST(ImpulseDispatch, SameActivityRunsInRegistrationOrder) {
     const std::vector<std::string> tick = {"first.a", "first.b", "second"};
     std::vector<std::string> expected = tick;
     expected.insert(expected.end(), tick.begin(), tick.end());
-    EXPECT_EQ(calls, expected) << engine_name(engine);
+    EXPECT_EQ(calls, expected) << label;
     EXPECT_DOUBLE_EQ(first.accumulated(), 4.0);
     EXPECT_DOUBLE_EQ(second.accumulated(), 2.0);
-  }
+  });
 }
 
 TEST(ImpulseDispatch, TimedAndInstantaneousActivities) {
-  for (const Engine engine : kEngines) {
+  on_kernel_and_reference([](auto runner, const char* label) {
+    using Runner = typename decltype(runner)::type;
     ClockDrain net;
     auto r = RewardVariable::impulse_only("r");
     r.add_impulse(net.clock, []() { return 1.0; });
     r.add_impulse(net.drain, []() { return 10.0; });
-    Simulator sim(until(engine, 3.0));
+    Runner sim(until(3.0));
     sim.set_model(net.model);
     sim.add_reward(r);
     EXPECT_EQ(sim.run().events, 6u);
-    EXPECT_DOUBLE_EQ(r.accumulated(), 33.0) << engine_name(engine);
+    EXPECT_DOUBLE_EQ(r.accumulated(), 33.0) << label;
     EXPECT_EQ(r.impulse_count(), 6u);
-  }
+  });
 }
 
 TEST(ImpulseDispatch, ActivityOutsideModelIsIgnored) {
-  for (const Engine engine : kEngines) {
+  on_kernel_and_reference([](auto runner, const char* label) {
+    using Runner = typename decltype(runner)::type;
     ClockDrain net;
     Activity stranger("stranger", stats::make_deterministic(1.0));
     int calls = 0;
@@ -239,21 +252,22 @@ TEST(ImpulseDispatch, ActivityOutsideModelIsIgnored) {
       return 1.0;
     });
     r.add_impulse(net.clock, []() { return 2.0; });
-    Simulator sim(until(engine, 3.0));
+    Runner sim(until(3.0));
     sim.set_model(net.model);
     sim.add_reward(r);
     sim.run();
-    EXPECT_EQ(calls, 0) << engine_name(engine);
+    EXPECT_EQ(calls, 0) << label;
     EXPECT_DOUBLE_EQ(r.accumulated(), 6.0);
-  }
+  });
 }
 
 TEST(ImpulseDispatch, ClearRewardsThenRebind) {
-  for (const Engine engine : kEngines) {
+  on_kernel_and_reference([](auto runner, const char* label) {
+    using Runner = typename decltype(runner)::type;
     ClockDrain net;
     auto old_reward = RewardVariable::impulse_only("old");
     old_reward.add_impulse(net.clock, []() { return 1.0; });
-    Simulator sim(until(engine, 3.0));
+    Runner sim(until(3.0));
     sim.set_model(net.model);
     sim.add_reward(old_reward);
     sim.run();
@@ -266,14 +280,14 @@ TEST(ImpulseDispatch, ClearRewardsThenRebind) {
     fresh.add_impulse(net.drain, []() { return 5.0; });
     sim.add_reward(fresh);
     sim.run();
-    EXPECT_DOUBLE_EQ(old_reward.accumulated(), 3.0) << engine_name(engine);
+    EXPECT_DOUBLE_EQ(old_reward.accumulated(), 3.0) << label;
     EXPECT_DOUBLE_EQ(fresh.accumulated(), 15.0);
 
     // Re-setting the model keeps the registered rewards indexed.
     sim.set_model(net.model);
     sim.run();
     EXPECT_DOUBLE_EQ(fresh.accumulated(), 15.0);
-  }
+  });
 }
 
 TEST(ImpulseDispatch, AddImpulseAfterRegistrationThrows) {
@@ -282,7 +296,7 @@ TEST(ImpulseDispatch, AddImpulseAfterRegistrationThrows) {
   ClockDrain net;
   auto r = RewardVariable::impulse_only("r");
   r.add_impulse(net.clock, []() { return 1.0; });
-  Simulator sim(until(Engine::kCompiled, 2.0));
+  Simulator sim(until(2.0));
   sim.set_model(net.model);
   sim.add_reward(r);
   EXPECT_THROW(r.add_impulse(net.drain, []() { return 1.0; }),

@@ -1,12 +1,18 @@
 // Stress and robustness tests of the SAN kernel: randomized net shapes,
 // deep instantaneous chains, many activities, and pathological timings.
+// The token ring and the mixed-priority fabric also run on the
+// reference interpreter, which the kernel's trajectory must match.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "san/simulator.hpp"
 #include "stats/distribution.hpp"
+#include "testing/oracle.hpp"
+#include "testing/reference_interpreter.hpp"
 
 namespace vcpusim::san {
 namespace {
@@ -41,16 +47,26 @@ TEST(SanStress, RandomizedTokenRingConservesTokens) {
   SimulatorConfig config;
   config.end_time = 50000.0;
   config.seed = 31;
-  Simulator sim(config);
-  sim.set_model(model);
-  const auto stats_out = sim.run();
-  EXPECT_GT(stats_out.events, 10000u);
+  const testing::OracleRun kernel =
+      testing::run_recorded<Simulator>(model, config);
+  EXPECT_GT(kernel.stats.events, 10000u);
   std::int64_t total = 0;
+  std::vector<std::int64_t> marking;
   for (const auto& p : ring) {
     total += p->get();
+    marking.push_back(p->get());
     EXPECT_GE(p->get(), 0);
   }
   EXPECT_EQ(total, kTokens);
+
+  // The undeclared gates force a full rescan after every firing; the
+  // reference walks the same trajectory to the same marking.
+  const testing::OracleRun reference =
+      testing::run_recorded<testing::ReferenceInterpreter>(model, config);
+  testing::expect_same_trajectory(kernel, reference, "ring");
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    EXPECT_EQ(ring[i]->get(), marking[i]) << ring[i]->name();
+  }
 }
 
 TEST(SanStress, DeepInstantaneousChainTerminates) {
@@ -139,8 +155,10 @@ TEST(SanStress, ZeroDelayTimedActivitySelfLimits) {
 
 TEST(SanStress, MixedPriorityFabricDeterministicAcrossRuns) {
   // A medium-size net mixing instantaneous priorities, zero delays and
-  // probabilistic cases must replay identically for the same seed.
-  const auto run_once_hash = [](std::uint64_t seed) {
+  // probabilistic cases must replay identically for the same seed, and
+  // identically to the reference interpreter.
+  const auto run_once_hash = [](std::uint64_t seed, auto runner) {
+    using Runner = typename decltype(runner)::type;
     ComposedModel model("Fabric");
     auto& sub = model.add_submodel("F");
     auto a = sub.add_place<std::int64_t>("a", 5);
@@ -168,13 +186,17 @@ TEST(SanStress, MixedPriorityFabricDeterministicAcrossRuns) {
     SimulatorConfig config;
     config.end_time = 5000.0;
     config.seed = seed;
-    Simulator sim(config);
-    sim.set_model(model);
-    const auto stats_out = sim.run();
-    return std::tuple(stats_out.events, a->get(), b->get(), c->get());
+    const testing::OracleRun run = testing::run_recorded<Runner>(model, config);
+    return std::tuple(run.events, run.stats.events, run.stats.aborted_events,
+                      a->get(), b->get(), c->get());
   };
-  EXPECT_EQ(run_once_hash(7), run_once_hash(7));
-  EXPECT_NE(std::get<3>(run_once_hash(7)), std::get<3>(run_once_hash(8)));
+  const auto kernel = std::type_identity<Simulator>{};
+  const auto reference = std::type_identity<testing::ReferenceInterpreter>{};
+  EXPECT_EQ(run_once_hash(7, kernel), run_once_hash(7, kernel));
+  EXPECT_TRUE(run_once_hash(7, kernel) == run_once_hash(7, reference))
+      << "kernel and reference trajectories differ";
+  EXPECT_NE(std::get<5>(run_once_hash(7, kernel)),
+            std::get<5>(run_once_hash(8, kernel)));
 }
 
 }  // namespace

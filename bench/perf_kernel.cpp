@@ -148,8 +148,8 @@ BENCHMARK_CAPTURE(BM_SchedulerTick, credit, std::string("credit"))
 
 /// The same 64-VCPU workloads (config, seed and horizon) on the test-side
 /// reference interpreter (tests/testing/reference_interpreter.hpp):
-/// closures only, a binary heap, a full enabling scan every settle
-/// round. The trajectory is the kernel's, bit for bit, so the ratio of
+/// Activity::enabled / fire only, a binary heap, a full enabling scan
+/// every settle round. The trajectory is the kernel's, bit for bit, so the ratio of
 /// the two rows' times is what the kernel's index, arena, calendar and
 /// bitsets buy. CI gates that ratio.
 void BM_SchedulerTickReference(benchmark::State& state,

@@ -1,7 +1,8 @@
 #include "exp/runner.hpp"
 
-#include <map>
+#include <algorithm>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 
 #include "exp/pool.hpp"
@@ -191,8 +192,14 @@ stats::ReplicationResult run_point(const RunSpec& spec,
 
   const bool observe =
       spec.metrics != nullptr || spec.trace != nullptr || spec.profile;
+  // Rep-indexed records: indices stay below policy.max_replications, so
+  // one allocation up front (sized to at most kPresizedRecords) holds
+  // them all, and a replication stores its record without allocating.
+  // Growth past the presized count happens under the mutex.
+  constexpr std::size_t kPresizedRecords = 256;
   std::mutex records_mutex;
-  std::map<std::size_t, RepRecord> records;
+  std::vector<std::optional<RepRecord>> records(
+      observe ? std::min(spec.policy.max_replications, kPresizedRecords) : 0);
 
   // One replication: check a pool slot out, build/rebind it only on the
   // first touch and reset it otherwise (the kReset phase times all of
@@ -293,7 +300,8 @@ stats::ReplicationResult run_point(const RunSpec& spec,
       }
       record.trace = std::move(buffer);
       const std::lock_guard<std::mutex> lock(records_mutex);
-      records.insert_or_assign(rep, std::move(record));
+      if (rep >= records.size()) records.resize(rep + 1);
+      records[rep] = std::move(record);
     }
     return obs;
   };
@@ -304,7 +312,9 @@ stats::ReplicationResult run_point(const RunSpec& spec,
 
   // Prune speculative records past the stopping index: they are never
   // forwarded or folded, and each may hold a full trace buffer.
-  records.erase(records.lower_bound(result.replications), records.end());
+  if (records.size() > result.replications) {
+    records.resize(result.replications);
+  }
 
   // Forward the buffered per-replication streams in index order, each
   // preceded by a replication marker — the stream the user sink sees is
@@ -317,9 +327,8 @@ stats::ReplicationResult run_point(const RunSpec& spec,
             san::TraceCategory::kMarker, 0.0, 0,
             "replication", static_cast<std::int64_t>(rep), 0, {}});
       }
-      const auto it = records.find(rep);
-      if (it != records.end() && it->second.trace != nullptr) {
-        it->second.trace->replay_into(*spec.trace);
+      if (rep < records.size() && records[rep] && records[rep]->trace) {
+        records[rep]->trace->replay_into(*spec.trace);
       }
     }
   }
@@ -332,9 +341,8 @@ stats::ReplicationResult run_point(const RunSpec& spec,
     stats::PhaseProfile profile_total;
     bool kernel_exported = false;
     for (std::size_t rep = 0; rep < result.replications; ++rep) {
-      const auto it = records.find(rep);
-      if (it == records.end()) continue;
-      const RepRecord& record = it->second;
+      if (rep >= records.size() || !records[rep]) continue;
+      const RepRecord& record = *records[rep];
       reg.counter("sim.events").add(record.stats.events);
       reg.counter("sim.enabling_evals").add(record.stats.enabling_evals);
       reg.summary("sim.events_per_replication")

@@ -45,12 +45,21 @@ class Activity {
   int priority() const noexcept { return priority_; }
   const stats::Distribution* delay() const noexcept { return delay_.get(); }
 
+  /// Throws std::invalid_argument unless the gate declares exactly one
+  /// of `predicate` and `pred_terms`, every term names a place of the
+  /// right kind (token ops: a TokenPlace; probes: a probe function), and
+  /// its behaviour is one of: the input function, a lowerable exact
+  /// effect (with_exact_effect), or nothing. A term gate without a
+  /// declared footprint gets access(<term places>).
   void add_input_gate(InputGate gate);
 
-  /// Convenience: add an output gate to the default (last) case.
+  /// Add an output gate to the default (last) case. Throws
+  /// std::invalid_argument unless the gate has exactly one behaviour:
+  /// its function or a lowerable exact effect.
   void add_output_gate(OutputGate gate);
 
-  /// Add an explicit probabilistic case.
+  /// Add an explicit probabilistic case (its output gates are checked as
+  /// by add_output_gate).
   void add_case(Case c);
 
   std::size_t case_count() const noexcept;
@@ -71,11 +80,15 @@ class Activity {
   double total_case_weight() const noexcept { return total_weight_; }
 
   /// All input gate predicates hold (an activity with no gates is always
-  /// enabled — used for free-running clocks).
+  /// enabled — used for free-running clocks). Terms read through
+  /// Place<T>::get.
   bool enabled() const;
 
-  /// Run input functions, select a case with `ctx.rng`, run that case's
-  /// output gates. Returns the selected case index.
+  /// Run input gates, select a case with `ctx.rng`, run that case's
+  /// output gates. A gate runs its function, or else applies its exact
+  /// effect through TokenPlace::mut(); with `ctx.sanitizer` set, each
+  /// gate that runs is announced to it first. Returns the selected case
+  /// index.
   std::size_t fire(GateContext& ctx);
 
   /// Sample a completion delay (timed activities only).

@@ -1,7 +1,6 @@
 #include "san/analyze/analyzer.hpp"
 
 #include "san/analyze/invariants.hpp"
-#include "san/compiled.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -502,12 +501,7 @@ void check_dead_activities(const std::vector<ActivityFacts>& activities,
         }
         bool enabled = true;
         try {
-          for (const auto& gate : a.input_gates()) {
-            if (!gate.predicate()) {
-              enabled = false;
-              break;
-            }
-          }
+          enabled = a.enabled();
         } catch (const std::exception&) {
           return true;  // predicate escaped the abstraction: assume live
         }
@@ -525,14 +519,8 @@ void check_dead_activities(const std::vector<ActivityFacts>& activities,
     bool live;
     if (tokens.empty()) {
       // Constant predicates: one evaluation decides.
-      live = true;
       try {
-        for (const auto& gate : a.input_gates()) {
-          if (!gate.predicate()) {
-            live = false;
-            break;
-          }
-        }
+        live = a.enabled();
       } catch (const std::exception&) {
         live = true;
       }
@@ -554,57 +542,60 @@ void check_dead_activities(const std::vector<ActivityFacts>& activities,
   }
 }
 
+/// Why a gate function stays on the trampoline, worded by how far its
+/// footprint got towards an exact-effect declaration.
+std::string function_trampoline_reason(const GateAccess& fp) {
+  if (!fp.declared) return "no declared footprint";
+  if (!fp.effects_declared) return "no declared effects";
+  return "effects not declared exact (use with_exact_effect)";
+}
+
 /// --prove extra: report every gate the compiled kernel keeps on the
-/// std::function trampoline instead of lowering to arena ops. Info-only:
-/// trampolines are bit-identical, just slower — the finding tells the
-/// modeler which declaration (pred_terms / with_exact_effect) would move
-/// the gate onto the fast path, or that the fallback is by design
-/// (compositional / dynamic-write gates like the scheduler bridge).
+/// std::function trampoline instead of lowering to arena ops — the gates
+/// declared through a closure. Info-only: trampolines are bit-identical,
+/// just slower — the finding tells the modeler which declaration
+/// (pred_terms / with_exact_effect) would move the gate onto the fast
+/// path, or that the fallback is by design (compositional /
+/// dynamic-write gates like the scheduler bridge).
 void check_trampoline_fallbacks(const ComposedModel& model, Sink& sink) {
+  const auto report_function = [&sink](const SanModel& m, const Activity& a,
+                                        const std::string& gate,
+                                        const GateAccess& fp) {
+    sink.emit(Severity::kInfo, check::kTrampolineFallback, m.name(), "",
+              a.name(),
+              gate + " function fires through the closure trampoline: " +
+                  function_trampoline_reason(fp),
+              "Declare the gate's marking update as exact token "
+              "deltas (with_exact_effect) to lower it to direct "
+              "arena writes. Compositional or dynamically-scoped "
+              "gates stay on the trampoline by design.");
+  };
   for (const auto& m : model.submodels()) {
     for (const auto& a : m->activities()) {
       for (const auto& gate : a->input_gates()) {
-        if (!predicate_compiles(gate)) {
+        if (gate.predicate) {
           sink.emit(Severity::kInfo, check::kTrampolineFallback, m->name(), "",
                     a->name(),
                     "input gate '" + gate.name +
                         "' predicate evaluates through the closure "
-                        "trampoline (no lowerable pred_terms)",
-                    "Mirror the predicate with declarative PredTerms "
-                    "(token_zero / token_positive / token_equals / "
-                    "token_at_least / marking_probe) so the compiled "
+                        "trampoline (a closure, not pred_terms)",
+                    "Declare the predicate as PredTerms (token_zero / "
+                    "token_positive / token_equals / token_at_least / "
+                    "marking_probe) instead of a closure so the compiled "
                     "engine can evaluate enabling straight off the "
                     "marking arena.");
         }
         if (gate.input_function) {
-          const std::string reason = effect_trampoline_reason(gate.footprint);
-          if (!reason.empty()) {
-            sink.emit(Severity::kInfo, check::kTrampolineFallback, m->name(),
-                      "", a->name(),
-                      "input gate '" + gate.name +
-                          "' function fires through the closure "
-                          "trampoline: " + reason,
-                      "Declare the gate's marking update as exact token "
-                      "deltas (with_exact_effect) to lower it to direct "
-                      "arena writes. Compositional or dynamically-scoped "
-                      "gates stay on the trampoline by design.");
-          }
+          report_function(*m, *a, "input gate '" + gate.name + "'",
+                          gate.footprint);
         }
       }
       for (const auto& c : a->cases()) {
         for (const auto& gate : c.output_gates) {
-          if (!gate.function) continue;
-          const std::string reason = effect_trampoline_reason(gate.footprint);
-          if (reason.empty()) continue;
-          sink.emit(Severity::kInfo, check::kTrampolineFallback, m->name(), "",
-                    a->name(),
-                    "output gate '" + gate.name +
-                        "' function fires through the closure "
-                        "trampoline: " + reason,
-                    "Declare the gate's marking update as exact token "
-                    "deltas (with_exact_effect) to lower it to direct "
-                    "arena writes. Compositional or dynamically-scoped "
-                    "gates stay on the trampoline by design.");
+          if (gate.function) {
+            report_function(*m, *a, "output gate '" + gate.name + "'",
+                            gate.footprint);
+          }
         }
       }
     }

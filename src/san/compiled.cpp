@@ -3,8 +3,6 @@
 #include <cstring>
 #include <unordered_set>
 
-#include "san/sanitizer.hpp"
-
 namespace vcpusim::san {
 
 namespace {
@@ -13,65 +11,14 @@ std::size_t align_up(std::size_t offset, std::size_t align) {
   return (offset + align - 1) & ~(align - 1);
 }
 
+/// The int64 marking of a token place (add_*_gate checked the type).
 std::int64_t* token_slot(const PlacePtr& place) {
-  auto* tp = dynamic_cast<TokenPlace*>(place.get());
-  return tp == nullptr ? nullptr
-                       : static_cast<std::int64_t*>(tp->marking_ptr());
+  return static_cast<std::int64_t*>(place->marking_ptr());
 }
 
 }  // namespace
 
-std::string effect_trampoline_reason(const GateAccess& fp) {
-  if (!fp.declared) return "no declared footprint";
-  if (!fp.effects_declared) return "no declared effects";
-  if (!fp.effects_exact) {
-    return "effects not declared exact (use with_exact_effect)";
-  }
-  if (fp.compositional_effects) return "compositional effects";
-  if (!fp.opaque_effects.empty()) return "opaque effect places";
-  if (fp.dynamic_writes) return "dynamic write footprint";
-  if (fp.effects.size() != 1) {
-    return "exact effect must declare exactly one variant";
-  }
-  for (const TokenDelta& d : fp.effects.front().deltas) {
-    if (!d.place) return "effect delta names a null place";
-    if (!d.component.empty()) {
-      return "effect delta targets a view component, not a whole token place";
-    }
-    if (dynamic_cast<TokenPlace*>(d.place.get()) == nullptr) {
-      return "effect delta on place '" + d.place->name() +
-             "', which is not a token place";
-    }
-    bool written = false;
-    for (const PlacePtr& w : fp.writes) {
-      if (w.get() == d.place.get()) {
-        written = true;
-        break;
-      }
-    }
-    if (!written) {
-      return "effect delta place '" + d.place->name() +
-             "' missing from the declared write set";
-    }
-  }
-  return {};
-}
-
-bool predicate_compiles(const InputGate& gate) {
-  if (gate.pred_terms.empty()) return false;
-  for (const PredTerm& t : gate.pred_terms) {
-    if (!t.place) return false;
-    if (t.op == PredTerm::Op::kProbe) {
-      if (t.probe == nullptr) return false;
-    } else if (dynamic_cast<TokenPlace*>(t.place.get()) == nullptr) {
-      return false;
-    }
-  }
-  return true;
-}
-
-CompiledModel::CompiledModel(ComposedModel& model, CompileOptions options)
-    : options_(options) {
+CompiledModel::CompiledModel(ComposedModel& model) {
   bind_places(model);
   for (const Activity* a : model.all_activities()) {
     compile_activity(*a);
@@ -144,7 +91,7 @@ void CompiledModel::compile_activity(const Activity& activity) {
 
   ca.pred_begin = static_cast<std::uint32_t>(pred_ops_.size());
   for (const InputGate& g : activity.input_gates()) {
-    if (!options_.force_trampoline && predicate_compiles(g)) {
+    if (!g.predicate) {
       for (const PredTerm& t : g.pred_terms) {
         PredOp op;
         op.imm = t.imm;
@@ -186,10 +133,9 @@ void CompiledModel::compile_activity(const Activity& activity) {
 
   ca.in_begin = static_cast<std::uint32_t>(fire_ops_.size());
   for (const InputGate& g : activity.input_gates()) {
-    // Mirrors Activity::fire — gates without an input function execute
-    // nothing, whatever their declared effects say.
-    if (!g.input_function) continue;
-    emit_fire(g.name, g.footprint, g.input_function);
+    // Mirrors Activity::fire: a pure-predicate gate executes nothing.
+    if (!g.input_function && !g.footprint.effects_declared) continue;
+    emit_fire(g.footprint, g.input_function);
   }
   ca.in_end = static_cast<std::uint32_t>(fire_ops_.size());
 
@@ -201,7 +147,7 @@ void CompiledModel::compile_activity(const Activity& activity) {
     ce.weight = c.weight;
     ce.op_begin = static_cast<std::uint32_t>(fire_ops_.size());
     for (const OutputGate& og : c.output_gates) {
-      emit_fire(og.name, og.footprint, og.function);
+      emit_fire(og.footprint, og.function);
     }
     ce.op_end = static_cast<std::uint32_t>(fire_ops_.size());
     cases_.push_back(ce);
@@ -211,11 +157,14 @@ void CompiledModel::compile_activity(const Activity& activity) {
   activities_.push_back(ca);
 }
 
-void CompiledModel::emit_fire(const std::string& name,
-                              const GateAccess& footprint,
+void CompiledModel::emit_fire(const GateAccess& footprint,
                               const std::function<void(GateContext&)>& fn) {
   FireOp op;
-  if (!options_.force_trampoline && effect_trampoline_reason(footprint).empty()) {
+  if (fn) {
+    op.call = &fn;
+    ++stats_.trampoline_gates;
+  } else {
+    // No function: the gate is its exact effect (add_*_gate checked it).
     op.kind = FireOp::Kind::kDeltas;
     op.begin = static_cast<std::uint32_t>(deltas_.size());
     for (const TokenDelta& d : footprint.effects.front().deltas) {
@@ -224,11 +173,6 @@ void CompiledModel::emit_fire(const std::string& name,
     }
     op.end = static_cast<std::uint32_t>(deltas_.size());
     ++stats_.compiled_gates;
-  } else {
-    op.call = &fn;
-    op.gate_name = &name;
-    op.footprint = &footprint;
-    ++stats_.trampoline_gates;
   }
   fire_ops_.push_back(op);
 }
@@ -249,10 +193,6 @@ const CompiledModel::CompiledActivity* CompiledModel::find(
     const Activity* activity) const {
   auto it = index_.find(activity);
   return it == index_.end() ? nullptr : &activities_[it->second];
-}
-
-void CompiledModel::enter_gate_hook(const FireOp& op, GateContext& ctx) const {
-  ctx.sanitizer->enter_gate(*op.gate_name, *op.footprint);
 }
 
 }  // namespace vcpusim::san

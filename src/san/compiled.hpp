@@ -15,18 +15,23 @@
 //    back to the virtual reset (none of the shipped models need it).
 //
 //  * a **compiled dispatch table** — per activity, a flat predicate
-//    program (PredOps evaluated straight off the arena, lowered from the
-//    declared InputGate::pred_terms) and a flat fire program (FireOps:
-//    gates declared with_exact_effect() become direct arena token
-//    deltas; everything else calls its closure through a trampoline op
-//    that preserves the sanitizer hooks of Activity::fire).
+//    program (PredOps evaluated straight off the arena, lowered from
+//    InputGate::pred_terms; a predicate closure becomes one call op) and
+//    a flat fire program (FireOps: a function-less gate's exact effect
+//    becomes direct arena token deltas; a gate function is called
+//    through a trampoline op).
 //
-// Compilation trusts the same declarations the incremental-enabling
-// index already trusts (GateAccess, pred_terms). The tests check every
-// trajectory bit for bit against a reference interpreter that runs the
-// closures directly (tests/testing/reference_interpreter.hpp). Gate
-// closures keep working while compiled — they read and write the very
-// same memory through the redirected Place<T> storage pointer.
+// Each gate behaviour is declared once, as a closure or as a
+// declaration, and Activity::add_input_gate / add_output_gate reject
+// declarations that cannot be lowered, so compilation never chooses
+// between two forms of one behaviour. The kernel reads the arena
+// directly and notifies nobody: runs that observe place accesses (the
+// footprint sanitizer) execute through Activity::enabled / fire instead.
+// The tests check every trajectory bit for bit against a reference
+// interpreter that runs the model through Activity
+// (tests/testing/reference_interpreter.hpp). Gate closures keep working
+// while compiled — they read and write the very same memory through the
+// redirected Place<T> storage pointer.
 //
 // Lifetime: places are kept alive via shared_ptr and unbound (markings
 // moved back inline) on destruction. A model may be bound to at most one
@@ -37,7 +42,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -45,18 +49,10 @@
 
 namespace vcpusim::san {
 
-struct CompileOptions {
-  /// Lower every predicate and gate to the closure trampoline. The
-  /// footprint sanitizer needs each place access to flow through
-  /// Place<T>::get/mut/set, which direct arena ops bypass, so sanitized
-  /// runs compile with this set. The arena (and the memcpy reset) stays.
-  bool force_trampoline = false;
-};
-
 /// Compile-time census of the lowered model, exported as run metrics
 /// ("arena.bytes", "kernel.compiled_gates", "kernel.trampoline_gates").
-/// A "gate" here is one dispatch unit: an input gate's predicate, an
-/// input function, or an output gate function.
+/// A "gate" here is one dispatch unit: an input gate's predicate, or an
+/// input or output gate's firing behaviour (function or exact effect).
 struct KernelStats {
   std::size_t arena_bytes = 0;
   std::size_t places = 0;            ///< dense PlaceIds assigned
@@ -66,15 +62,6 @@ struct KernelStats {
   std::size_t compiled_gates = 0;    ///< units lowered to arena ops
   std::size_t trampoline_gates = 0;  ///< units dispatched via closure
 };
-
-/// Why a gate's effect program cannot be lowered to direct arena deltas;
-/// empty string = it compiles. Shared by the compiler and the analyzer's
-/// `lint --prove` trampoline-fallback report.
-std::string effect_trampoline_reason(const GateAccess& footprint);
-
-/// True when an input gate's declared pred_terms can be lowered (terms
-/// present, token terms on token places, probe terms with a probe).
-bool predicate_compiles(const InputGate& gate);
 
 class CompiledModel {
  public:
@@ -99,18 +86,16 @@ class CompiledModel {
     std::int64_t delta = 0;
   };
 
-  /// One executed gate function of a firing.
+  /// One executed gate of a firing.
   struct FireOp {
     enum class Kind : std::uint8_t {
       kDeltas,  ///< apply deltas_[begin, end)
-      kCall,    ///< sanitizer enter_gate + closure call
+      kCall,    ///< closure call
     };
     Kind kind = Kind::kCall;
     std::uint32_t begin = 0;  ///< into deltas_ (kDeltas)
     std::uint32_t end = 0;
     const std::function<void(GateContext&)>* call = nullptr;
-    const std::string* gate_name = nullptr;
-    const GateAccess* footprint = nullptr;
   };
 
   struct CaseEntry {
@@ -131,7 +116,7 @@ class CompiledModel {
     double total_weight = 1.0;
   };
 
-  explicit CompiledModel(ComposedModel& model, CompileOptions options = {});
+  explicit CompiledModel(ComposedModel& model);
   ~CompiledModel();
 
   CompiledModel(const CompiledModel&) = delete;
@@ -212,7 +197,7 @@ class CompiledModel {
  private:
   void bind_places(const ComposedModel& model);
   void compile_activity(const Activity& activity);
-  void emit_fire(const std::string& name, const GateAccess& footprint,
+  void emit_fire(const GateAccess& footprint,
                  const std::function<void(GateContext&)>& fn);
   void run_ops(std::uint32_t begin, std::uint32_t end, GateContext& ctx) const {
     for (std::uint32_t i = begin; i < end; ++i) {
@@ -222,16 +207,11 @@ class CompiledModel {
           *deltas_[j].slot += deltas_[j].delta;
         }
       } else {
-        // The sanitizer hook stays out-of-line so this header does not
-        // pull in sanitizer.hpp; sanitized runs are not the fast path.
-        if (ctx.sanitizer != nullptr) enter_gate_hook(op, ctx);
         (*op.call)(ctx);
       }
     }
   }
-  void enter_gate_hook(const FireOp& op, GateContext& ctx) const;
 
-  CompileOptions options_;
   KernelStats stats_;
 
   /// Dense-id order; shared ownership so unbinding in the destructor is

@@ -6,6 +6,17 @@
 // output gates belong to a *case* of the activity, which models the
 // probabilistic outcomes of a transition.
 //
+// Each behaviour is declared once, in one of two forms:
+//  * a closure — an input gate's `predicate`, an input or output
+//    `function` — opaque code the compiled kernel (san/compiled.hpp)
+//    calls through a trampoline;
+//  * a declaration — an input gate's `pred_terms`, a function-less gate's
+//    exact token deltas (with_exact_effect) — which the kernel lowers to
+//    arena ops and Activity::enabled / Activity::fire evaluate through
+//    Place<T>::get / mut.
+// Activity::add_input_gate / add_output_gate reject a gate that carries
+// both forms of one behaviour, or a declaration the kernel cannot lower.
+//
 // Predicates must be pure functions of the marking. Input/output
 // functions receive a GateContext carrying the simulation clock and the
 // replication's random stream (Mobius gate code likewise may sample
@@ -86,10 +97,10 @@ using EffectVisitor = std::function<void(const EffectVariant&)>;
 using EffectEnumerator = std::function<void(const EffectVisitor&)>;
 
 /// Declared marking footprint of a gate, consumed by san::analyze. Gate
-/// predicates and functions are opaque closures, so the places they touch
-/// cannot be discovered by inspection; a gate that declares its access
-/// sets becomes visible to the static analyzer (orphan places, dead
-/// activities, shared-write races, zero-time cycles). Undeclared gates
+/// closures are opaque, so the places they touch cannot be discovered
+/// by inspection; a gate that declares its access sets becomes visible
+/// to the static analyzer (orphan places, dead activities, shared-write
+/// races, zero-time cycles). Undeclared gates
 /// are analyzed conservatively: the whole-model checks that need
 /// complete information are skipped and reported as such.
 struct GateAccess {
@@ -139,16 +150,6 @@ struct GateAccess {
   /// poisoning the analysis.
   std::vector<PlacePtr> opaque_effects;
 
-  /// The declared effects are *exact*: one firing applies precisely the
-  /// single declared variant's token deltas and nothing else — no RNG
-  /// draws, no trace emission, no touch() reports, no writes beyond the
-  /// deltas. Opt-in contract consumed by the compiled engine
-  /// (san/compiled.hpp): an exact gate executes as direct arena deltas,
-  /// skipping its closure entirely. Same trust model as `declared` — an
-  /// inexact declaration changes compiled-engine trajectories. Declare
-  /// with with_exact_effect().
-  bool effects_exact = false;
-
   /// Visit every declared variant in declaration order: the on-demand
   /// enumeration of a compositional gate, `effects` otherwise.
   void for_each_effect(const EffectVisitor& visit) const {
@@ -182,30 +183,20 @@ inline GateAccess with_compositional_effects(GateAccess base,
   return base;
 }
 
-/// Compositional effects given as an explicit list: an enumerator over
-/// the (shared, immutable) list.
-inline GateAccess with_compositional_effects(GateAccess base,
-                                             std::vector<EffectVariant> variants,
-                                             std::vector<PlacePtr> opaque = {}) {
-  auto list =
-      std::make_shared<const std::vector<EffectVariant>>(std::move(variants));
-  return with_compositional_effects(
-      std::move(base),
-      [list](const EffectVisitor& visit) {
-        for (const EffectVariant& variant : *list) visit(variant);
-      },
-      std::move(opaque));
-}
-
-/// Declare a single *exact* effect variant (GateAccess::effects_exact):
-/// the gate's whole behavior is the given token deltas. Such gates run
-/// as direct arena writes under the compiled engine.
+/// Declare a single *exact* effect variant: the whole behaviour of a
+/// gate that has no function. One firing applies precisely these token
+/// deltas and nothing else (no RNG draws, no trace emission, no touch()
+/// reports). The compiled kernel runs them as direct arena writes,
+/// Activity::fire through TokenPlace::mut(). Every delta must name a
+/// whole TokenPlace (empty component) listed in `base.writes`; the
+/// add_*_gate calls reject anything else, and a gate that also has a
+/// function: they recognize the declaration by its variant label,
+/// kExactVariant.
+inline constexpr const char* kExactVariant = "exact";
 inline GateAccess with_exact_effect(GateAccess base,
                                     std::vector<TokenDelta> deltas) {
-  base = with_effects(std::move(base),
-                      {EffectVariant{"exact", std::move(deltas)}});
-  base.effects_exact = true;
-  return base;
+  return with_effects(std::move(base),
+                      {EffectVariant{kExactVariant, std::move(deltas)}});
 }
 
 /// Convenience builder: declare a gate's read and write sets.
@@ -231,10 +222,10 @@ inline GateAccess access_dynamic(std::vector<PlacePtr> reads,
   return a;
 }
 
-/// One conjunct of a declaratively mirrored enabling predicate (see
+/// One conjunct of a declarative enabling predicate (see
 /// InputGate::pred_terms). The token ops address the identity marking of
 /// a TokenPlace; kProbe evaluates a stateless function over a structured
-/// marking's bytes. Built with the helpers below, never by hand.
+/// marking. Built with the helpers below, never by hand.
 struct PredTerm {
   enum class Op : std::uint8_t {
     kTokenZero,      ///< token count == 0
@@ -246,28 +237,32 @@ struct PredTerm {
   Op op = Op::kTokenPositive;
   PlacePtr place;
   std::int64_t imm = 0;
+  /// kProbe, two entry points into the one probe function: over the raw
+  /// marking bytes (the compiled kernel, straight off the arena), and
+  /// through Place<T>::get (Activity::enabled, so access listeners such
+  /// as the footprint sanitizer see the read).
   bool (*probe)(const void* marking) = nullptr;
+  bool (*probe_get)(const PlaceBase& place) = nullptr;
 };
 
 inline PredTerm token_zero(std::shared_ptr<TokenPlace> place) {
-  return PredTerm{PredTerm::Op::kTokenZero, std::move(place), 0, nullptr};
+  return PredTerm{PredTerm::Op::kTokenZero, std::move(place)};
 }
 inline PredTerm token_positive(std::shared_ptr<TokenPlace> place) {
-  return PredTerm{PredTerm::Op::kTokenPositive, std::move(place), 0, nullptr};
+  return PredTerm{PredTerm::Op::kTokenPositive, std::move(place)};
 }
 inline PredTerm token_equals(std::shared_ptr<TokenPlace> place,
                              std::int64_t value) {
-  return PredTerm{PredTerm::Op::kTokenEquals, std::move(place), value, nullptr};
+  return PredTerm{PredTerm::Op::kTokenEquals, std::move(place), value};
 }
 inline PredTerm token_at_least(std::shared_ptr<TokenPlace> place,
                                std::int64_t value) {
-  return PredTerm{PredTerm::Op::kTokenAtLeast, std::move(place), value,
-                  nullptr};
+  return PredTerm{PredTerm::Op::kTokenAtLeast, std::move(place), value};
 }
 
 /// Probe term over a structured marking: `probe` must be a captureless
-/// lambda taking `const T&`. It is re-materialized by value inside a
-/// plain function pointer, so the term stays trivially dispatchable.
+/// lambda taking `const T&`. It is re-materialized by value inside plain
+/// function pointers, so the term stays trivially dispatchable.
 template <class T, class F>
 PredTerm marking_probe(std::shared_ptr<Place<T>> place, F) {
   static_assert(std::is_empty_v<F>,
@@ -278,33 +273,52 @@ PredTerm marking_probe(std::shared_ptr<Place<T>> place, F) {
   t.probe = [](const void* marking) {
     return F{}(*static_cast<const T*>(marking));
   };
+  t.probe_get = [](const PlaceBase& p) {
+    return F{}(static_cast<const Place<T>&>(p).get());
+  };
   return t;
 }
 
+/// An input gate. Its enabling predicate is either the `predicate`
+/// closure or the `pred_terms` declaration, never both; its firing
+/// behaviour is the `input_function` closure, the exact effect declared
+/// in `footprint` (with_exact_effect), or nothing. An activity is
+/// enabled iff all its input gates' predicates hold.
 struct InputGate {
   std::string name;
-  /// Enabling predicate evaluated against the current marking. An
-  /// activity is enabled iff all its input gate predicates hold.
+  /// Enabling predicate as opaque code (the compiled kernel calls it
+  /// through a trampoline). Null for a term gate.
   std::function<bool()> predicate;
-  /// Executed (before output gates) when the activity completes. May be
-  /// null for pure-predicate gates.
+  /// Executed (before output gates) when the activity completes. Null
+  /// for pure-predicate gates and exact-effect gates.
   std::function<void(GateContext&)> input_function;
-  /// Optional declared marking footprint (see GateAccess).
+  /// Declared marking footprint (see GateAccess). A term gate that
+  /// declares none gets access(<term places>) from add_input_gate.
   GateAccess footprint;
-  /// Declarative mirror of `predicate`: the conjunction of these terms
-  /// must decide exactly what the closure decides. Consumed by the
-  /// compiled engine to evaluate enabling straight off the marking arena
-  /// without a closure call; empty = the compiled engine calls
-  /// `predicate` through a trampoline. Same trust model as
-  /// GateAccess::declared.
+  /// Enabling predicate as a declaration: the conjunction of these
+  /// terms. The compiled kernel evaluates it straight off the marking
+  /// arena; Activity::enabled reads through Place<T>::get.
   std::vector<PredTerm> pred_terms;
 };
 
+/// A pure-predicate input gate declared by its terms alone: no closure,
+/// no function, and the footprint add_input_gate derives from the term
+/// places.
+inline InputGate term_gate(std::string name, std::vector<PredTerm> terms) {
+  InputGate gate;
+  gate.name = std::move(name);
+  gate.pred_terms = std::move(terms);
+  return gate;
+}
+
+/// An output gate. Its behaviour is the `function` closure or, when the
+/// function is null, the exact effect declared in `footprint`
+/// (with_exact_effect).
 struct OutputGate {
   std::string name;
   /// Marking-update function executed on activity completion.
   std::function<void(GateContext&)> function;
-  /// Optional declared marking footprint (see GateAccess).
+  /// Declared marking footprint (see GateAccess).
   GateAccess footprint;
 };
 

@@ -17,11 +17,19 @@
 // happened (advisory: conditional writes are normal, but a write that
 // is *never* exercised is a stale declaration keeping dirty sets wide).
 //
+// Only footprints can be wrong: a gate's behaviour is declared once (a
+// closure or a pred_terms / exact-effect declaration, see san/gate.hpp),
+// so there is no second copy for it to drift from. To see every access,
+// a sanitized simulator evaluates enabling through Activity::enabled and
+// fires through Activity::fire, which read and write through
+// Place<T>::get/mut/set; the compiled kernel's arena ops notify nobody
+// and never run under the sanitizer.
+//
 // The sanitizer is observation-only: it never changes markings, never
 // consumes randomness, and never throws from inside the engine, so a
 // sanitized run walks a bit-identical trajectory. With the mode off the
 // entire machinery reduces to one thread-local null check per place
-// access.
+// access made by a closure.
 #pragma once
 
 #include <cstdint>
@@ -90,8 +98,9 @@ class FootprintSanitizer final : public PlaceAccessListener {
   void begin_predicate(const Activity& activity);
   void end_predicate();
   void begin_firing(const Activity& activity, GateContext& ctx);
-  /// Called by Activity::fire before each gate function runs; closes
-  /// the checks of the previous gate of this firing.
+  /// Called by Activity::fire before each gate runs (its function or
+  /// its exact effect); closes the checks of the previous gate of this
+  /// firing.
   void enter_gate(const std::string& gate_name, const GateAccess& footprint);
   void end_firing();
 

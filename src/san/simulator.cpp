@@ -63,8 +63,7 @@ void Simulator::set_model(ComposedModel& model) {
   compile_profile_.set_enabled(config_.profile);
   {
     stats::ScopedPhaseTimer timer(&compile_profile_, stats::Phase::kCompile);
-    compiled_ = std::make_unique<CompiledModel>(
-        model, CompileOptions{.force_trampoline = config_.verify_footprints});
+    compiled_ = std::make_unique<CompiledModel>(model);
     timed_compiled_.clear();
     inst_compiled_.clear();
     for (const Activity* a : activities_) {
@@ -423,13 +422,19 @@ void Simulator::complete(Activity& activity, bool timed,
     ctx.trace = trace_;
     ctx.seq = seq;
   }
+  std::size_t case_index = 0;
   if (sanitizer_ != nullptr) {
+    // Sanitized firings run through Activity::fire, whose place accesses
+    // and gate boundaries the sanitizer observes; the kernel's arena ops
+    // would bypass both.
     ctx.sanitizer = sanitizer_.get();
     sanitizer_->begin_firing(activity, ctx);
+    case_index = activity.fire(ctx);
+    sanitizer_->end_firing();
+  } else {
+    case_index = compiled_->fire(
+        *(timed ? timed_compiled_[index] : inst_compiled_[index]), ctx);
   }
-  const std::size_t case_index = compiled_->fire(
-      *(timed ? timed_compiled_[index] : inst_compiled_[index]), ctx);
-  if (sanitizer_ != nullptr) sanitizer_->end_firing();
   if (!impulse_begin_.empty()) {
     const std::size_t slot = timed ? index : activities_.size() + index;
     for (std::uint32_t k = impulse_begin_[slot]; k < impulse_begin_[slot + 1];

@@ -28,9 +28,9 @@
 // kernel (san/compiled.hpp) and the event loop runs off its arena, an
 // event calendar, and bitset dirty/enabled sets. The oracle for these
 // rules is a deliberately naive interpreter on the test side
-// (tests/testing/reference_interpreter.hpp): closures only, a binary
-// heap, a full enabling scan every round. Every trajectory must match it
-// bit for bit.
+// (tests/testing/reference_interpreter.hpp): the model run through
+// Activity::enabled / fire only, a binary heap, a full enabling scan
+// every round. Every trajectory must match it bit for bit.
 //
 // Rate rewards are accrued over each dwell interval before the marking
 // changes; impulse rewards on each completion, dispatched through a
@@ -90,16 +90,15 @@ struct SimulatorConfig {
   bool profile = false;
   /// Footprint sanitizer (san/sanitizer.hpp): verify every gate's place
   /// accesses against its declared footprint and re-check statically
-  /// proven invariants/bounds after each firing. Observation-only — the
-  /// trajectory stays bit-identical — but each place access costs a
-  /// check, so off by default; when off the only residue is one
-  /// thread-local null test per access. Inspect results through
-  /// footprint_report().
+  /// proven invariants/bounds after each firing. Sanitized runs keep the
+  /// arena and the enabling index but evaluate and fire through
+  /// Activity::enabled / Activity::fire, so every access goes through
+  /// Place<T>::get/mut/set. Observation-only — the trajectory stays
+  /// bit-identical — but each place access costs a check, so off by
+  /// default; when off the only residue is one thread-local null test
+  /// per closure access. Inspect results through footprint_report().
   bool verify_footprints = false;
-  /// Has a single value and is not read (see Engine). set_model()
-  /// always compiles; under verify_footprints the kernel keeps its arena
-  /// but dispatches every gate through the closure trampoline so the
-  /// sanitizer sees each place access.
+  /// Has a single value and is not read (see Engine).
   Engine engine = Engine::kCompiled;
 };
 
@@ -159,7 +158,7 @@ class Simulator {
   /// livelock is detected. Equivalent to reset() + advance_until(end).
   RunStats run();
 
-  // --- Incremental execution (steady-state estimation, stepping) ----
+  // --- Incremental execution (stepping) -----------------------------
   /// Restore the initial marking, clear rewards and pending events, and
   /// perform the time-zero activations. Must be called before the first
   /// advance_until().
@@ -460,9 +459,9 @@ class Simulator {
   /// opaque-read lists, and the sparse dependent runs of every activity
   /// and place.
   void build_enabling_index();
-  /// Enabling checks. Sanitized runs go through the activity's closures
-  /// inside the sanitizer's predicate scope; otherwise the compiled
-  /// kernel evaluates straight off the arena.
+  /// Enabling checks. Sanitized runs go through Activity::enabled inside
+  /// the sanitizer's predicate scope; otherwise the compiled kernel
+  /// evaluates straight off the arena.
   bool sanitized_enabled(const Activity& a);
   bool eval_timed(std::uint32_t timed_index) {
     if (sanitizer_ != nullptr) {

@@ -42,18 +42,12 @@ void build_workload_generator(san::SanModel& submodel, const VmConfig& cfg,
   auto blocked = places.blocked;
   auto num_ready = places.num_vcpus_ready;
   auto workload = places.workload;
-  generate.add_input_gate(san::InputGate{
+  generate.add_input_gate(san::term_gate(
       "WG_Enable",
-      [blocked, num_ready, workload]() {
-        return blocked->get() == 0 && num_ready->get() > 0 &&
-               !workload->get().has_value();
-      },
-      nullptr,
-      san::access({blocked, num_ready, workload}),
       {san::token_zero(blocked), san::token_positive(num_ready),
        san::marking_probe(workload, [](const std::optional<Workload>& w) {
          return !w.has_value();
-       })}});
+       })}));
 
   auto outstanding = places.outstanding_jobs;
   auto load_dist = cfg.load_distribution;
@@ -171,18 +165,13 @@ void build_job_scheduler(san::SanModel& submodel, const VmConfig& cfg,
 
   auto workload = places.workload;
   auto num_ready = places.num_vcpus_ready;
-  scheduling.add_input_gate(san::InputGate{
+  scheduling.add_input_gate(san::term_gate(
       "Scheduling",
-      [workload, num_ready]() {
-        return workload->get().has_value() && num_ready->get() > 0;
-      },
-      nullptr,
-      san::access({workload, num_ready}),
       {san::marking_probe(workload,
                           [](const std::optional<Workload>& w) {
                             return w.has_value();
                           }),
-       san::token_positive(num_ready)}});
+       san::token_positive(num_ready)}));
 
   std::vector<san::PlacePtr> dispatch_reads = {workload, next_vcpu};
   std::vector<san::PlacePtr> dispatch_writes = {workload, num_ready,
@@ -269,14 +258,11 @@ void build_vcpu(san::SanModel& submodel, int index, VmPlaces& places) {
   auto& clock = submodel.add_timed_activity(
       "Clock", stats::make_deterministic(1.0), kVcpuClockPriority);
   places.clocks.push_back(&clock);
-  clock.add_input_gate(san::InputGate{
+  clock.add_input_gate(san::term_gate(
       "Processing_enabled",
-      [slot]() { return slot->get().status == VcpuStatus::kBusy; },
-      nullptr,
-      san::access({slot}),
       {san::marking_probe(slot, [](const VcpuSlotState& s) {
         return s.status == VcpuStatus::kBusy;
-      })}});
+      })}));
 
   auto blocked = places.blocked;
   auto num_ready = places.num_vcpus_ready;
@@ -392,10 +378,8 @@ void build_vcpu(san::SanModel& submodel, int index, VmPlaces& places) {
   // its interrupted workload (BUSY) or becomes READY for new work.
   auto& in_handler = submodel.add_instantaneous_activity(
       "Schedule_In_Handler", kScheduleInHandlerPriority);
-  in_handler.add_input_gate(san::InputGate{
-      "Schedule_In_pending", [schedule_in]() { return schedule_in->get() > 0; },
-      nullptr, san::access({schedule_in}),
-      {san::token_positive(schedule_in)}});
+  in_handler.add_input_gate(san::term_gate(
+      "Schedule_In_pending", {san::token_positive(schedule_in)}));
   in_handler.add_output_gate(san::OutputGate{
       "Apply_Schedule_In",
       [schedule_in, slot, num_ready](san::GateContext&) {
@@ -430,11 +414,8 @@ void build_vcpu(san::SanModel& submodel, int index, VmPlaces& places) {
   // remaining_load and sync_point (paper III.B.2 INACTIVE note).
   auto& out_handler = submodel.add_instantaneous_activity(
       "Schedule_Out_Handler", kScheduleOutHandlerPriority);
-  out_handler.add_input_gate(san::InputGate{
-      "Schedule_Out_pending",
-      [schedule_out]() { return schedule_out->get() > 0; }, nullptr,
-      san::access({schedule_out}),
-      {san::token_positive(schedule_out)}});
+  out_handler.add_input_gate(san::term_gate(
+      "Schedule_Out_pending", {san::token_positive(schedule_out)}));
   out_handler.add_output_gate(san::OutputGate{
       "Apply_Schedule_Out",
       [schedule_out, slot, num_ready](san::GateContext&) {

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "san/model.hpp"
 #include "sched/registry.hpp"
@@ -57,6 +59,26 @@ TEST(Analyzer, DeadActivityUnsatisfiablePredicate) {
   EXPECT_EQ(d->submodel, "S");
   EXPECT_EQ(d->activity, "S->Never");
   EXPECT_NE(d->message.find("unsatisfiable"), std::string::npos);
+}
+
+TEST(Analyzer, DeadActivityProbesTermGates) {
+  // Term gates have no closure: the probe evaluates their terms through
+  // Activity::enabled, with the term places as the derived reads.
+  ComposedModel model("Broken");
+  auto& s = model.add_submodel("S");
+  auto tokens = s.add_place<std::int64_t>("Tokens", 0);
+  auto& never = s.add_timed_activity("Never", stats::make_deterministic(1.0));
+  never.add_input_gate(term_gate("Gate", {token_at_least(tokens, 100)}));
+  never.add_output_gate(
+      {"Out", nullptr,
+       with_exact_effect(access({}, {tokens}), {{tokens, "", +1}})});
+  auto& maybe = s.add_timed_activity("Maybe", stats::make_deterministic(1.0));
+  maybe.add_input_gate(term_gate("Gate", {token_equals(tokens, 2)}));
+
+  const auto report = Analyzer().analyze(model);
+  ASSERT_EQ(count_check(report, check::kDeadActivity), 1u)
+      << report.render_text();
+  EXPECT_EQ(find_check(report, check::kDeadActivity)->activity, "S->Never");
 }
 
 TEST(Analyzer, DeadActivityProbeRestoresMarking) {
@@ -372,6 +394,53 @@ TEST(Analyzer, ErrorsSortBeforeWarnings) {
   const auto report = Analyzer().analyze(model);
   ASSERT_GE(report.diagnostics.size(), 2u) << report.render_text();
   EXPECT_EQ(report.diagnostics.front().severity, Severity::kError);
+}
+
+TEST(Analyzer, ProveReportsClosureGatesOnTheTrampoline) {
+  // Declared gates (terms, exact effects) lower; every closure is
+  // reported, with how far its footprint got towards a declaration.
+  ComposedModel model("Mixed");
+  auto& s = model.add_submodel("S");
+  auto tokens = s.add_place<std::int64_t>("Tokens", 1);
+  auto& declared = s.add_timed_activity("Declared", stats::make_deterministic(1.0));
+  declared.add_input_gate(term_gate("Terms", {token_positive(tokens)}));
+  declared.add_output_gate(
+      {"Exact", nullptr,
+       with_exact_effect(access({}, {tokens}), {{tokens, "", -1}})});
+  auto& closures = s.add_timed_activity("Closures", stats::make_deterministic(1.0));
+  closures.add_input_gate(
+      InputGate{"Pred", [tokens]() { return tokens->get() == 0; },
+                [tokens](GateContext&) { tokens->mut() += 1; }, {}});
+  closures.add_output_gate(
+      OutputGate{"Described", [](GateContext&) {},
+                 with_effects(access({}, {tokens}), {{"none", {}}})});
+  closures.add_output_gate(OutputGate{
+      "Undescribed", [](GateContext&) {}, access({}, {tokens})});
+
+  AnalyzerOptions options;
+  options.prove = true;
+  const auto report = Analyzer(options).analyze(model);
+  std::vector<std::string> messages;
+  for (const auto& d : report.diagnostics) {
+    if (d.check != std::string(check::kTrampolineFallback)) continue;
+    EXPECT_EQ(d.activity, "S->Closures") << d.message;
+    messages.push_back(d.message);
+  }
+  ASSERT_EQ(messages.size(), 4u) << report.render_text();
+  const auto has = [&messages](const std::string& text) {
+    return std::any_of(messages.begin(), messages.end(),
+                       [&text](const std::string& m) {
+                         return m.find(text) != std::string::npos;
+                       });
+  };
+  EXPECT_TRUE(has("input gate 'Pred' predicate evaluates through the "
+                  "closure trampoline"));
+  EXPECT_TRUE(has("input gate 'Pred' function fires through the closure "
+                  "trampoline: no declared footprint"));
+  EXPECT_TRUE(has("output gate 'Described' function fires through the "
+                  "closure trampoline: effects not declared exact"));
+  EXPECT_TRUE(has("output gate 'Undescribed' function fires through the "
+                  "closure trampoline: no declared effects"));
 }
 
 TEST(Analyzer, SuppressDropsCheck) {

@@ -43,9 +43,10 @@ SimulatorConfig config_with(Time end, std::uint64_t seed) {
 }
 
 /// A model mixing every compiled-dispatch flavor: a token pipeline with
-/// declared exact effects and pred terms (lowered), a weighted
-/// multi-case activity (RNG case draws), a probe-gated consumer, and an
-/// undeclared opaque gate (trampoline fallback).
+/// declared exact effects and pred terms (lowered; no closures, so the
+/// reference interpreter and the sanitizer run the declarations too), a
+/// weighted multi-case activity (RNG case draws), a probe-gated
+/// consumer, and an undeclared opaque gate (trampoline fallback).
 struct MixedModel {
   std::unique_ptr<ComposedModel> model;
   std::shared_ptr<TokenPlace> buffer;
@@ -67,16 +68,14 @@ struct MixedModel {
     auto& produce =
         sub.add_timed_activity("produce", stats::make_exponential(0.9));
     produce.add_output_gate(
-        {"p", [buffer](GateContext&) { buffer->mut() += 1; },
+        {"p", nullptr,
          with_exact_effect(access({}, {buffer}), {{buffer, "", +1}})});
 
     // Weighted cases: the case draw must consume the RNG stream exactly
     // as Activity::fire does.
     auto& branch =
         sub.add_timed_activity("branch", stats::make_uniform(0.5, 1.5));
-    InputGate gate{"nonempty", [buffer]() { return buffer->get() > 0; },
-                   nullptr, access({buffer}), {token_positive(buffer)}};
-    branch.add_input_gate(std::move(gate));
+    branch.add_input_gate(term_gate("nonempty", {token_positive(buffer)}));
     branch.add_case(
         {0.25, {{"take2",
                  [buffer, done](GateContext&) {
@@ -86,20 +85,16 @@ struct MixedModel {
                  },
                  access({buffer}, {buffer, done})}}});
     branch.add_case(
-        {0.75, {{"take1", [buffer, done](GateContext&) {
-                   buffer->mut() -= 1;
-                   done->mut() += 1;
-                 },
+        {0.75, {{"take1", nullptr,
                  with_exact_effect(access({}, {buffer, done}),
                                    {{buffer, "", -1}, {done, "", +1}})}}});
 
     // Probe-gated watcher (compiled predicate via marking probe).
     auto& watch = sub.add_timed_activity(
         "watch", stats::make_deterministic(1.0), /*priority=*/1);
-    InputGate probe_gate{
-        "deep", [done]() { return done->get() >= 3; }, nullptr, access({done}),
-        {marking_probe(done, [](const std::int64_t& v) { return v >= 3; })}};
-    watch.add_input_gate(std::move(probe_gate));
+    watch.add_input_gate(term_gate(
+        "deep",
+        {marking_probe(done, [](const std::int64_t& v) { return v >= 3; })}));
     watch.add_output_gate({"w", [](GateContext&) {}, access({})});
 
     // Undeclared gate: trampoline dispatch AND an opaque write set
@@ -141,6 +136,36 @@ TEST(CompiledEngine, TrajectoryBitIdenticalToReference) {
     expect_same_mixed(run_mixed<Simulator>(200.0, seed),
                       run_mixed<ReferenceInterpreter>(200.0, seed),
                       "seed " + std::to_string(seed));
+  }
+}
+
+TEST(CompiledEngine, DeclarationsRunIdenticallyOnKernelReferenceAndSanitizer) {
+  // The declarations are the gates' only behaviour: the kernel lowers
+  // them to arena ops, while the reference interpreter and a sanitized
+  // simulator evaluate them through Activity (Place<T>::get / mut). All
+  // three must walk one trajectory, and the sanitizer, seeing every
+  // term read and delta write, must find the footprints complete.
+  for (const std::uint64_t seed : {3ull, 11ull}) {
+    const std::string label = "seed " + std::to_string(seed);
+    const MixedRun kernel = run_mixed<Simulator>(200.0, seed);
+    const MixedRun reference = run_mixed<ReferenceInterpreter>(200.0, seed);
+    expect_same_mixed(kernel, reference, label);
+
+    auto m = MixedModel::build();
+    auto config = config_with(200.0, seed);
+    config.verify_footprints = true;
+    Simulator sanitized(config);
+    trace::RingBufferSink rec(0, testing::kOracleCategories);
+    sanitized.set_trace(&rec);
+    sanitized.set_model(*m.model);
+    const RunStats stats = sanitized.run();
+    const MixedRun checked{OracleRun{rec.entries(), stats}, m.buffer->get(),
+                           m.done->get(), m.opaque_hits->get()};
+    expect_same_mixed(checked, kernel, label + " sanitized");
+    EXPECT_EQ(stats.enabling_evals, kernel.run.stats.enabling_evals) << label;
+    const FootprintReport* report = sanitized.footprint_report();
+    ASSERT_NE(report, nullptr);
+    EXPECT_TRUE(report->clean()) << label << "\n" << report->render_text();
   }
 }
 
@@ -367,6 +392,56 @@ void expect_engines_agree(const Build& build, Time end, std::uint64_t seed,
   ASSERT_GT(reference.stats.events, 10u) << label;
   expect_same_trajectory(comp, reference, label + " incremental");
   expect_same_trajectory(comp_full, reference, label + " full scan");
+}
+
+/// A bounded buffer driven by declarations only, one term op per gate:
+/// "fill" needs room (at_least), "flush" a full buffer (equals), "drip"
+/// a non-empty one (positive), and an instantaneous "reset" fires on an
+/// empty one (zero) while a probe watches the spill counter. Every gate
+/// lowers, so the kernel runs arena ops while the reference interpreter
+/// evaluates the same terms and deltas through Place<T>::get / mut.
+std::unique_ptr<ComposedModel> build_term_buffer() {
+  auto model = std::make_unique<ComposedModel>("terms");
+  auto& sub = model->add_submodel("B");
+  auto room = sub.add_place<std::int64_t>("room", 3);
+  auto level = sub.add_place<std::int64_t>("level", 0);
+  auto spills = sub.add_place<std::int64_t>("spills", 0);
+  auto& fill = sub.add_timed_activity("fill", stats::make_exponential(1.2));
+  fill.add_input_gate(term_gate("has_room", {token_at_least(room, 1)}));
+  fill.add_output_gate({"f", nullptr,
+                        with_exact_effect(access({}, {room, level}),
+                                          {{room, "", -1}, {level, "", +1}})});
+  auto& flush = sub.add_timed_activity("flush", stats::make_uniform(0.2, 0.9));
+  flush.add_input_gate(term_gate("full", {token_equals(level, 3)}));
+  flush.add_output_gate(
+      {"x", nullptr,
+       with_exact_effect(access({}, {room, level, spills}),
+                         {{room, "", +3}, {level, "", -3}, {spills, "", +1}})});
+  auto& drip = sub.add_timed_activity("drip", stats::make_exponential(0.7));
+  drip.add_input_gate(term_gate("some", {token_positive(level)}));
+  drip.add_output_gate({"d", nullptr,
+                        with_exact_effect(access({}, {room, level}),
+                                          {{room, "", +1}, {level, "", -1}})});
+  auto& idle = sub.add_timed_activity("idle", stats::make_deterministic(0.5));
+  idle.add_input_gate(term_gate(
+      "empty",
+      {token_zero(level), marking_probe(spills, [](const std::int64_t& s) {
+         return s % 2 == 0;
+       })}));
+  idle.add_output_gate({"i", nullptr, with_exact_effect(access({}, {}), {})});
+  return model;
+}
+
+TEST(CompiledEngine, EveryTermOpLowersLikeTheReference) {
+  for (const std::uint64_t seed : {2ull, 9ull}) {
+    expect_engines_agree(build_term_buffer, 120.0, seed,
+                         "seed " + std::to_string(seed));
+  }
+  auto model = build_term_buffer();
+  Simulator sim(config_with(1.0, 1));
+  sim.set_model(*model);
+  EXPECT_EQ(sim.kernel_stats().trampoline_gates, 0u);
+  EXPECT_EQ(sim.kernel_stats().compiled_gates, 8u);
 }
 
 /// `timed` timed and `inst` instantaneous activities over a ring of

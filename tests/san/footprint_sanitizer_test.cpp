@@ -165,6 +165,34 @@ TEST(FootprintSanitizer, UnderDeclaredReadDetected) {
       << report.render_text();
 }
 
+TEST(FootprintSanitizer, TermAndExactEffectAccessesAreChecked) {
+  // A declared gate has no closure, but its declarations still read and
+  // write the marking: a sanitized run evaluates the terms through
+  // Place<T>::get and applies the deltas through TokenPlace::mut, so a
+  // footprint that omits a term place is caught like any other lie.
+  Ring ring;
+  ring.transfer("Back", ring.b, ring.a);
+  auto a = ring.a;
+  auto b = ring.b;
+  auto& act = ring.s->add_timed_activity("Fwd", stats::make_deterministic(1.0));
+  InputGate gate = term_gate("Fwd_in", {token_positive(a), token_zero(b)});
+  gate.footprint = access({a});  // omits B, which token_zero(b) reads
+  act.add_input_gate(std::move(gate));
+  act.add_output_gate(
+      {"Fwd_out", nullptr,
+       with_exact_effect(access({}, {a, b}), {{a, "", -1}, {b, "", +1}})});
+
+  SanitizedRun run(ring.model);
+  const auto& report = run.report();
+  EXPECT_TRUE(has_kind(report, ViolationKind::kUndeclaredRead))
+      << report.render_text();
+  EXPECT_FALSE(has_kind(report, ViolationKind::kUndeclaredWrite))
+      << report.render_text();
+  EXPECT_FALSE(has_kind(report, ViolationKind::kStaleDeclaredWrite))
+      << "the exact effect's writes reach the sanitizer\n"
+      << report.render_text();
+}
+
 TEST(FootprintSanitizer, UndeclaredWriteDetected) {
   Ring ring;
   ring.transfer("Fwd", ring.a, ring.b);

@@ -203,9 +203,10 @@ TEST(Incidence, CompositionalGateEmitsStandaloneColumns) {
         y->mut() += 1;
       },
       with_compositional_effects(
-          access({x}, {x, y}),
-          {{"xfer", {{x, "", -1}, {y, "", +1}}},
-           {"back", {{x, "", +1}, {y, "", -1}}}})});
+          access({x}, {x, y}), [x, y](const EffectVisitor& visit) {
+            visit({"xfer", {{x, "", -1}, {y, "", +1}}});
+            visit({"back", {{x, "", +1}, {y, "", -1}}});
+          })});
 
   const auto inc = extract_incidence(model);
   ASSERT_TRUE(inc.complete);

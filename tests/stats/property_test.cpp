@@ -1,7 +1,7 @@
 // Property-based tests of the statistics primitives: randomized inputs
 // (seeded, reproducible) checked against brute-force reference
 // computations. Complements the example-based unit tests in
-// welford_test.cpp / p2_quantile_test.cpp / batch_means_test.cpp.
+// welford_test.cpp / p2_quantile_test.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,8 +9,6 @@
 #include <numeric>
 #include <vector>
 
-#include "stats/batch_means.hpp"
-#include "stats/confidence.hpp"
 #include "stats/histogram.hpp"
 #include "stats/p2_quantile.hpp"
 #include "stats/welford.hpp"
@@ -174,42 +172,6 @@ TEST(P2QuantileProperty, TracksExactQuantileOnUniformStreams) {
       EXPECT_NEAR(p2.value(), exact_quantile(xs, q), 0.05)
           << "q=" << q << " seed " << seed;
       EXPECT_EQ(p2.count(), xs.size());
-    }
-  }
-}
-
-TEST(BatchMeansProperty, MatchesBruteForceBatching) {
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    PropertyRng rng(500 + seed);
-    const auto batch = static_cast<std::size_t>(rng.uniform_int(2, 20));
-    const auto warmup = static_cast<std::size_t>(rng.uniform_int(0, 30));
-    const auto n = static_cast<std::size_t>(rng.uniform_int(50, 400));
-    const auto xs = random_samples(rng, n, -5.0, 5.0);
-
-    BatchMeans bm(batch, warmup);
-    for (const double x : xs) bm.add(x);
-
-    // Brute-force reference: drop warmup, cut complete batches, average.
-    Welford reference;
-    std::size_t i = warmup;
-    while (i + batch <= n) {
-      double sum = 0.0;
-      for (std::size_t j = 0; j < batch; ++j) sum += xs[i + j];
-      reference.add(sum / static_cast<double>(batch));
-      i += batch;
-    }
-
-    EXPECT_EQ(bm.observations(), n) << "seed " << seed;
-    EXPECT_EQ(bm.batches(), reference.count()) << "seed " << seed;
-    if (reference.count() > 0) {
-      EXPECT_NEAR(bm.mean(), reference.mean(), 1e-12) << "seed " << seed;
-    }
-    if (reference.count() >= 2) {
-      const auto expected = confidence_interval(reference, 0.95);
-      const auto actual = bm.interval(0.95);
-      EXPECT_NEAR(actual.mean, expected.mean, 1e-12) << "seed " << seed;
-      EXPECT_NEAR(actual.half_width, expected.half_width, 1e-12)
-          << "seed " << seed;
     }
   }
 }

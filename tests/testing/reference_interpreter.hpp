@@ -1,9 +1,10 @@
 // Reference interpreter of the SAN execution rules: the oracle the
 // compiled kernel (san::Simulator) is checked against.
 //
-// Deliberately naive. It runs the model through its closures only
-// (Activity::enabled / fire / sample_delay and the public RewardVariable
-// hooks), keeps pending completions in a std::priority_queue under the
+// Deliberately naive. It runs the model through Activity only
+// (enabled / fire / sample_delay, which evaluate each gate's closure or
+// declaration through Place<T>::get / mut) and the public RewardVariable
+// hooks, keeps pending completions in a std::priority_queue under the
 // kernel's EventOrder, and re-evaluates every activity's enabling on
 // every settle round. No enabling index, no arena, no bitsets, no event
 // calendar: each rule of san/simulator.hpp is written out once, in the
